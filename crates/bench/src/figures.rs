@@ -521,6 +521,16 @@ pub fn fig19() -> String {
     t.render()
 }
 
+/// Activation rows each sequence contributes to Figure 20's ReLU study.
+const RELU_ROWS_PER_SEQ: usize = 8;
+
+/// Figure 20's ReLU study at one batch size: the pattern hashes of 300
+/// batches of `batch × RELU_ROWS_PER_SEQ` activation rows (256 wide, 95%
+/// sparse).
+fn fig20_relu_patterns(batch: usize) -> Vec<u64> {
+    patterns::relu_pattern_hashes(batch * RELU_ROWS_PER_SEQ, 256, 0.95, 300, 61)
+}
+
 /// Figure 20: sparsity-pattern repetition (hit-ratio) study.
 pub fn fig20() -> String {
     let mut t = Table::new(
@@ -540,7 +550,7 @@ pub fn fig20() -> String {
         }
     }
     for batch in [8usize, 32] {
-        let curve = patterns::relu_study(64, 256, 0.95, 300, 61);
+        let curve = patterns::cumulative_hit_ratio(fig20_relu_patterns(batch));
         for seen in [1usize, 10, 100, 300] {
             t.row(vec![
                 "ReLU".to_string(),
@@ -645,6 +655,17 @@ mod tests {
         let s = fig20();
         assert!(s.contains("seq-length"));
         assert!(s.contains("ReLU"));
+    }
+
+    #[test]
+    fn fig20_relu_curves_follow_the_batch() {
+        // Random ReLU patterns do not repeat at either size, so both
+        // curves read 0 throughout (the paper's point). Each batch label
+        // must still be the curve of its own batch's activations.
+        let small = fig20_relu_patterns(8);
+        let large = fig20_relu_patterns(32);
+        assert_eq!(small.len(), large.len());
+        assert!(small.iter().all(|h| !large.contains(h)));
     }
 
     #[test]

@@ -122,7 +122,8 @@ impl TileDb {
     }
 
     /// The tile minimising full-GEMM latency for a dense `[m,k]×[k,n]`
-    /// problem — what a cuBLAS-style heuristic would select.
+    /// problem — what a cuBLAS-style heuristic would select. Each tile's
+    /// latency is evaluated once; among tied tiles the first one wins.
     pub fn best_dense_tile(
         &self,
         cost: &CostModel,
@@ -133,12 +134,15 @@ impl TileDb {
     ) -> &ProfiledTile {
         let elem = if tensor_core { 2 } else { 4 };
         self.tiles(tensor_core)
-            .min_by(|a, b| {
-                let la = cost.dense_gemm_latency(m, k, n, a.dims, elem, tensor_core);
-                let lb = cost.dense_gemm_latency(m, k, n, b.dims, elem, tensor_core);
-                la.partial_cmp(&lb).expect("finite latencies")
+            .map(|t| {
+                (
+                    t,
+                    cost.dense_gemm_latency(m, k, n, t.dims, elem, tensor_core),
+                )
             })
+            .min_by(|(_, la), (_, lb)| la.partial_cmp(lb).expect("finite latencies"))
             .expect("tile database is never empty")
+            .0
     }
 }
 
@@ -186,6 +190,26 @@ mod tests {
         // A 32-row GEMM cannot fill 128-row tiles.
         let best = db.best_dense_tile(&cost, 32, 4096, 4096, false);
         assert!(best.dims.m <= 64, "picked {:?}", best.dims);
+    }
+
+    #[test]
+    fn best_dense_tile_keeps_the_first_of_tied_tiles() {
+        let (_, cost) = db();
+        // Latency depends on the dims only, so two tiles with equal dims
+        // tie; the marker in `fixed_cost_s` tells them apart.
+        let tile = |marker: f64| ProfiledTile {
+            dims: TileDims::new(32, 32, 32),
+            tensor_core: false,
+            pass_cost_s: 1.0,
+            fixed_cost_s: marker,
+        };
+        for (first, second) in [(1.0, 2.0), (2.0, 1.0)] {
+            let db = TileDb {
+                tiles: vec![tile(first), tile(second)],
+            };
+            let best = db.best_dense_tile(&cost, 512, 512, 512, false);
+            assert_eq!(best.fixed_cost_s, first);
+        }
     }
 
     #[test]

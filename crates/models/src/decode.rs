@@ -21,12 +21,14 @@
 //!
 //! [`StepShape`] describes one mixed iteration — which prompt lengths are
 //! being prefilled and which cached context lengths are being decoded —
-//! and [`run_step`] charges the full layer stack for it on an [`Engine`].
+//! and [`run_step`] charges the full layer stack for it on an [`Engine`],
+//! pricing one layer and charging it once per layer (shapes repeat across
+//! layers the way §5.6 observes they repeat across batches).
 //! The serving runtime (`pit_serve`) decides *what* goes into each step;
 //! this module only prices it.
 
 use crate::configs::ModelConfig;
-use crate::engine::Engine;
+use crate::engine::{CostCategory, Engine};
 
 /// Rows of the K/V micro-tile PIT packs sparse attention reads into: the
 /// `(32, 1)` micro-tile of the paper's Table 3 (see
@@ -220,9 +222,20 @@ impl StepShape {
     }
 }
 
+/// Whether a priced pass appends its landed tokens' K/V rows to a cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KvWrite {
+    /// Every prefill, chunk and decode token writes its K/V rows each
+    /// layer (`kv_append`): a decode-serving iteration.
+    Append,
+    /// Nothing is appended: a stateless forward pass, such as the
+    /// prefill-only serving runtime's, which keeps no KV cache.
+    Skip,
+}
+
 /// Charges one serving iteration of `cfg` — embeddings, every layer's
 /// attention + FFN over the step's mixed prefill/decode shape, and the LM
-/// head — to `eng`.
+/// head — to `eng`: [`run_pass`] with [`KvWrite::Append`].
 ///
 /// Decode attention is priced per slot as two `1 × a` GEMV-like products
 /// (scores and context, `a` = the slot's attended extent) whose arithmetic
@@ -237,6 +250,21 @@ impl StepShape {
 /// tokens, slack ≤ 31 rows per slot), while a padded layout has no gather
 /// and must stream each slot's whole *cached* context.
 pub fn run_step(eng: &mut Engine, cfg: &ModelConfig, shape: &StepShape) {
+    run_pass(eng, cfg, shape, KvWrite::Append);
+}
+
+/// Charges one forward pass of `cfg` over `shape` to `eng`, appending K/V
+/// rows or not as `kv` says (see [`run_step`] for the pricing).
+///
+/// Every layer has the same shape, so the pass prices one layer's ordered
+/// operators (qkv, scores, softmax, context, out, attn_ln, fc1, act, fc2,
+/// ffn_ln, residual, kv_append) once and charges that list `cfg.layers`
+/// times. Charge order is the f64 summation order, so the engine's
+/// latency, [`crate::Engine::cost_tally`] and `gemm_time_s` equal those of
+/// charging every layer separately, bit for bit. The charges carry their
+/// ledger categories and leave no labelled records.
+pub fn run_pass(eng: &mut Engine, cfg: &ModelConfig, shape: &StepShape, kv: KvWrite) {
+    use CostCategory::{Attention, DenseGemm};
     let rows = shape.rows();
     if rows == 0 {
         return;
@@ -254,48 +282,232 @@ pub fn run_step(eng: &mut Engine, cfg: &ModelConfig, shape: &StepShape) {
     let prefill_sq: f64 = shape.prefill_lens.iter().map(|&l| (l * l) as f64).sum();
     let chunk_sc: f64 = shape.chunks.iter().map(|&(c, ctx)| (c * ctx) as f64).sum();
     let score_elems = prefill_sq + chunk_sc + decode_kv as f64;
-    eng.elementwise("embed", rows * cfg.hidden, 1);
-    for layer in 0..cfg.layers {
-        let p = format!("l{layer}");
-        eng.gemm(&format!("{p}.qkv"), rows, cfg.hidden, 3 * cfg.hidden);
-        // Scores + context: quadratic for prefill sequences, linear in the
-        // attended (PIT) or cached (padded) context for decode slots.
-        let score_flops = 2.0 * score_elems * cfg.hidden as f64;
-        // Prefill reads its score tile per head; decode additionally
-        // streams the K (scores) or V (context) cache rows it attends.
-        let score_bytes =
-            score_elems * cfg.heads as f64 * elem + (kv_tokens * cfg.hidden) as f64 * elem;
-        eng.gemm_flops(&format!("{p}.scores"), score_flops, score_bytes);
-        eng.softmax(
-            &format!("{p}.softmax"),
-            (score_elems * cfg.heads as f64 / 64.0).ceil() as usize,
-            64,
-        );
-        eng.gemm_flops(&format!("{p}.context"), score_flops, score_bytes);
-        eng.gemm(&format!("{p}.out"), rows, cfg.hidden, cfg.hidden);
-        eng.layernorm(&format!("{p}.attn_ln"), rows, cfg.hidden);
-        eng.gemm(&format!("{p}.fc1"), rows, cfg.hidden, cfg.ffn);
-        eng.elementwise(&format!("{p}.act"), rows * cfg.ffn, 1);
-        eng.gemm(&format!("{p}.fc2"), rows, cfg.ffn, cfg.hidden);
-        eng.layernorm(&format!("{p}.ffn_ln"), rows, cfg.hidden);
-        eng.elementwise(&format!("{p}.residual"), rows * cfg.hidden, 2);
-        // Each decode slot appends this layer's new K/V row; prefills and
-        // chunks write every landed token's rows.
-        eng.elementwise(
-            &format!("{p}.kv_append"),
-            shape.kv_write_tokens() * 2 * cfg.hidden,
-            1,
-        );
+    // Scores + context: quadratic for prefill sequences, linear in the
+    // attended (PIT) or cached (padded) context for decode slots.
+    let score_flops = 2.0 * score_elems * cfg.hidden as f64;
+    // Prefill reads its score tile per head; decode additionally streams
+    // the K (scores) or V (context) cache rows it attends.
+    let score_bytes =
+        score_elems * cfg.heads as f64 * elem + (kv_tokens * cfg.hidden) as f64 * elem;
+    let softmax_rows = (score_elems * cfg.heads as f64 / 64.0).ceil() as usize;
+    // Each decode slot appends its new K/V row; prefills and chunks write
+    // every landed token's rows.
+    let kv_append = match kv {
+        KvWrite::Append => {
+            eng.price_elementwise(DenseGemm, shape.kv_write_tokens() * 2 * cfg.hidden, 1)
+        }
+        KvWrite::Skip => None,
+    };
+    let layer = [
+        eng.price_gemm(DenseGemm, rows, cfg.hidden, 3 * cfg.hidden),
+        eng.price_gemm_flops(Attention, score_flops, score_bytes),
+        eng.price_softmax(Attention, softmax_rows, 64),
+        eng.price_gemm_flops(Attention, score_flops, score_bytes),
+        eng.price_gemm(DenseGemm, rows, cfg.hidden, cfg.hidden),
+        eng.price_layernorm(DenseGemm, rows, cfg.hidden),
+        eng.price_gemm(DenseGemm, rows, cfg.hidden, cfg.ffn),
+        eng.price_elementwise(DenseGemm, rows * cfg.ffn, 1),
+        eng.price_gemm(DenseGemm, rows, cfg.ffn, cfg.hidden),
+        eng.price_layernorm(DenseGemm, rows, cfg.hidden),
+        eng.price_elementwise(DenseGemm, rows * cfg.hidden, 2),
+        kv_append,
+    ];
+    if let Some(embed) = eng.price_elementwise(DenseGemm, rows * cfg.hidden, 1) {
+        eng.charge(embed);
     }
-    eng.gemm("head", rows, cfg.hidden, cfg.vocab.min(4096));
+    for _ in 0..cfg.layers {
+        for &op in layer.iter().flatten() {
+            eng.charge(op);
+        }
+    }
+    if let Some(head) = eng.price_gemm(DenseGemm, rows, cfg.hidden, cfg.vocab.min(4096)) {
+        eng.charge(head);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Framework;
+    use crate::engine::{categorize_label, CostTally, Framework};
     use pit_gpusim::DeviceSpec;
     use pit_tensor::DType;
+    use proptest::prelude::*;
+
+    /// `run_step` as a record-by-record loop over every layer, each
+    /// operator charged through a labelled helper: the oracle the folded
+    /// pricing must reproduce bit for bit.
+    fn reference_step(eng: &mut Engine, cfg: &ModelConfig, shape: &StepShape) {
+        let rows = shape.rows();
+        if rows == 0 {
+            return;
+        }
+        let elem = eng.elem() as f64;
+        let decode_kv = if eng.framework.is_pit() {
+            shape.packed_decode_tokens(KV_MICROTILE_ROWS)
+        } else {
+            shape.cached_tokens()
+        };
+        let chunk_reads: usize = shape.chunks.iter().map(|&(c, ctx)| ctx - c).sum();
+        let kv_tokens = decode_kv + chunk_reads;
+        let prefill_sq: f64 = shape.prefill_lens.iter().map(|&l| (l * l) as f64).sum();
+        let chunk_sc: f64 = shape.chunks.iter().map(|&(c, ctx)| (c * ctx) as f64).sum();
+        let score_elems = prefill_sq + chunk_sc + decode_kv as f64;
+        eng.elementwise("embed", rows * cfg.hidden, 1);
+        for layer in 0..cfg.layers {
+            let p = format!("l{layer}");
+            eng.gemm(&format!("{p}.qkv"), rows, cfg.hidden, 3 * cfg.hidden);
+            let score_flops = 2.0 * score_elems * cfg.hidden as f64;
+            let score_bytes =
+                score_elems * cfg.heads as f64 * elem + (kv_tokens * cfg.hidden) as f64 * elem;
+            eng.gemm_flops(&format!("{p}.scores"), score_flops, score_bytes);
+            eng.softmax(
+                &format!("{p}.softmax"),
+                (score_elems * cfg.heads as f64 / 64.0).ceil() as usize,
+                64,
+            );
+            eng.gemm_flops(&format!("{p}.context"), score_flops, score_bytes);
+            eng.gemm(&format!("{p}.out"), rows, cfg.hidden, cfg.hidden);
+            eng.layernorm(&format!("{p}.attn_ln"), rows, cfg.hidden);
+            eng.gemm(&format!("{p}.fc1"), rows, cfg.hidden, cfg.ffn);
+            eng.elementwise(&format!("{p}.act"), rows * cfg.ffn, 1);
+            eng.gemm(&format!("{p}.fc2"), rows, cfg.ffn, cfg.hidden);
+            eng.layernorm(&format!("{p}.ffn_ln"), rows, cfg.hidden);
+            eng.elementwise(&format!("{p}.residual"), rows * cfg.hidden, 2);
+            eng.elementwise(
+                &format!("{p}.kv_append"),
+                shape.kv_write_tokens() * 2 * cfg.hidden,
+                1,
+            );
+        }
+        eng.gemm("head", rows, cfg.hidden, cfg.vocab.min(4096));
+    }
+
+    /// Category totals classified back out of an engine's labelled
+    /// records, one pass in record order.
+    fn tally_of_records(eng: &Engine) -> CostTally {
+        let mut tally = CostTally::default();
+        for rec in eng.ctx().records() {
+            let latency = rec.stats.latency_s;
+            match categorize_label(&rec.name) {
+                CostCategory::Attention => tally.attention_s += latency,
+                CostCategory::SparseConversion => tally.sparse_conversion_s += latency,
+                CostCategory::JitSearch => tally.jit_search_s += latency,
+                CostCategory::DenseGemm => tally.dense_s += latency,
+            }
+            tally.flops_useful += rec.stats.flops_useful;
+            tally.flops_executed += rec.stats.flops_executed;
+        }
+        tally
+    }
+
+    fn tally_bits(t: &CostTally) -> [u64; 6] {
+        [
+            t.attention_s.to_bits(),
+            t.sparse_conversion_s.to_bits(),
+            t.jit_search_s.to_bits(),
+            t.dense_s.to_bits(),
+            t.flops_useful.to_bits(),
+            t.flops_executed.to_bits(),
+        ]
+    }
+
+    /// Deterministic pseudo-random draw in `1..=max` (splitmix64 of
+    /// `seed`, `i`).
+    fn draw(seed: u64, i: u64, max: usize) -> usize {
+        let mut z = seed.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) as usize % max + 1
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Folding one priced layer `layers` times reproduces charging
+        /// every layer's operators record by record, bit for bit, on the
+        /// latency, every tally field and the GEMM time — for mixed
+        /// prefill/chunk/sparse-decode shapes (empty ones included), PIT
+        /// and padded frameworks, both precisions, one A100 or eight
+        /// V100s, and engines already carrying JIT-search and PIT-index
+        /// charges. The oracle's running totals in turn equal the sums
+        /// over its labelled records.
+        #[test]
+        fn folded_step_matches_record_by_record_pricing(
+            framework in vec![Framework::Pit, Framework::PyTorch, Framework::DeepSpeed],
+            dtype in vec![DType::F16, DType::F32],
+            multi_gpu in 0usize..2,
+            prior_charges in 0usize..4,
+            prefills in 0usize..3,
+            chunks in 0usize..3,
+            slots in 0usize..24,
+            sparse in 0usize..2,
+            seed in 0u64..1_000_000,
+        ) {
+            let cfg = ModelConfig::opt("1.3B");
+            let mut i = 0u64;
+            let mut next = |max: usize| {
+                i += 1;
+                draw(seed, i, max)
+            };
+            let shape = StepShape {
+                prefill_lens: (0..prefills).map(|_| next(512)).collect(),
+                chunks: (0..chunks)
+                    .map(|_| {
+                        let c = next(256);
+                        (c, c + next(1024) - 1)
+                    })
+                    .collect(),
+                decode: (0..slots)
+                    .map(|_| {
+                        let cached = next(2048);
+                        if sparse == 1 {
+                            DecodeSlot::sparse(next(cached + 1) - 1, cached)
+                        } else {
+                            DecodeSlot::dense(cached)
+                        }
+                    })
+                    .collect(),
+            };
+            let engine = || {
+                let mut e = if multi_gpu == 1 {
+                    Engine::new(DeviceSpec::v100_32gb(), dtype, framework).with_devices(8)
+                } else {
+                    Engine::new(DeviceSpec::a100_80gb(), dtype, framework)
+                };
+                if prior_charges & 1 == 1 {
+                    e.host_overhead("jit.search", 37.5e-6);
+                }
+                if prior_charges & 2 == 2 {
+                    e.host_overhead("pit.index", 1.25e-6);
+                }
+                e
+            };
+            let mut folded = engine();
+            run_step(&mut folded, &cfg, &shape);
+            let mut reference = engine();
+            reference_step(&mut reference, &cfg, &shape);
+
+            prop_assert_eq!(folded.latency_ms().to_bits(), reference.latency_ms().to_bits());
+            prop_assert_eq!(
+                tally_bits(&folded.cost_tally()),
+                tally_bits(&reference.cost_tally())
+            );
+            prop_assert_eq!(folded.gemm_time_s.to_bits(), reference.gemm_time_s.to_bits());
+            // `Iterator::sum` starts from -0.0 and the running total from
+            // +0.0; adding +0.0 equates the two on an empty record stream
+            // and changes nothing else.
+            prop_assert_eq!(
+                (reference.ctx().total_latency_ms() + 0.0).to_bits(),
+                reference.latency_ms().to_bits()
+            );
+            prop_assert_eq!(
+                tally_bits(&tally_of_records(&reference)),
+                tally_bits(&reference.cost_tally())
+            );
+            // The fold leaves only the prior labelled charges behind.
+            prop_assert_eq!(folded.ctx().records().len(), prior_charges.count_ones() as usize);
+        }
+    }
 
     fn cfg() -> ModelConfig {
         let mut m = ModelConfig::bert_base();

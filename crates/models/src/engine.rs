@@ -70,13 +70,15 @@ impl Framework {
     }
 }
 
-/// Device-time ledger category of one cost record, judged by its label.
+/// Device-time ledger category of one charged operator.
 ///
 /// The taxonomy matches `pit_trace::DeviceLedger`: attention streaming
 /// (scores / softmax / context), sparse-format conversion (PIT index
 /// construction), JIT kernel search, and the dense-GEMM residual that
 /// absorbs everything else (embeddings, projections, FFN, layernorms,
-/// KV appends, launch overheads).
+/// KV appends, launch overheads). Labelled records take theirs from
+/// [`categorize_label`]; [`crate::decode::run_step`] names its operators'
+/// categories directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostCategory {
     /// Attention score/softmax/context work (`*.scores`, `*.softmax`,
@@ -103,11 +105,11 @@ pub fn categorize_label(label: &str) -> CostCategory {
     }
 }
 
-/// Category totals over an engine's record stream, the raw material of
-/// the device-time ledger. Attention is one bucket here; the serving
-/// layer splits it into prefill vs decode using the step shape (the
-/// engine records one fused attention kernel per layer and cannot know
-/// which rows were prefill).
+/// Category totals over everything charged to an engine, the raw
+/// material of the device-time ledger. Attention is one bucket here; the
+/// serving layer splits it into prefill vs decode using the step shape
+/// (the engine charges one fused attention kernel per layer and cannot
+/// know which rows were prefill).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CostTally {
     /// Seconds in attention records.
@@ -118,7 +120,7 @@ pub struct CostTally {
     pub jit_search_s: f64,
     /// Seconds in everything else.
     pub dense_s: f64,
-    /// FLOPs that served real work, summed over all records.
+    /// FLOPs that served real work, summed over all charged operators.
     pub flops_useful: f64,
     /// FLOPs the modelled kernels executed.
     pub flops_executed: f64,
@@ -130,14 +132,33 @@ pub struct CostTally {
 /// of magnitude from profiling reports of naive MoE loops).
 pub const PYTORCH_PER_EXPERT_HOST_S: f64 = 0.25e-3;
 
+/// One priced operator: what charging it adds to an engine's totals.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Charge {
+    /// Ledger category its latency lands in.
+    pub category: CostCategory,
+    /// Modelled kernel statistics.
+    pub stats: KernelStats,
+    /// GEMM-class work, also summed into [`Engine::gemm_time_s`].
+    pub gemm: bool,
+}
+
 /// The analytic execution engine for one run.
+///
+/// Every charged operator updates running totals — the modelled latency,
+/// the per-category [`CostTally`] and [`Engine::gemm_time_s`] — in charge
+/// order, so each total is the same f64 sum a pass over the charges would
+/// give. The labelled helpers (`gemm`, `softmax`, `host_overhead`, ...)
+/// also append an [`pit_gpusim::OpRecord`] that figure code reads back by
+/// label; [`crate::decode::run_step`] charges without records.
 #[derive(Debug)]
 pub struct Engine {
-    /// Simulation ledger (latency records + memory tracker).
-    pub ctx: SimContext,
-    /// Profiled tile database for the device.
+    /// Simulation ledger (labelled records + memory tracker).
+    ctx: SimContext,
+    /// Profiled tile database for the device (fixed at construction: the
+    /// `gemm_flops` reference throughput is priced from it).
     pub db: TileDb,
-    /// Precision under evaluation.
+    /// Precision under evaluation (fixed at construction, like `db`).
     pub dtype: DType,
     /// Execution strategy under evaluation.
     pub framework: Framework,
@@ -145,9 +166,16 @@ pub struct Engine {
     /// GEMM-class work divide across devices, memory divides too, and each
     /// layer pays one all-reduce.
     pub devices: usize,
-    /// Accumulated latency of GEMM-class records (used by the training
+    /// Accumulated latency of GEMM-class charges (used by the training
     /// simulation: backward ≈ 2× the forward GEMM time).
     pub gemm_time_s: f64,
+    /// Sustained dense-GEMM throughput (FLOP/s) of the best tile on a
+    /// 2048³ GEMM, the rate `gemm_flops` prices raw FLOPs at.
+    reference_flops_per_s: f64,
+    /// Modelled latency of everything charged so far (seconds).
+    total_s: f64,
+    /// Category totals of everything charged so far.
+    tally: CostTally,
 }
 
 /// NVLink all-reduce bus bandwidth per device pair (bytes/s), for the
@@ -159,13 +187,17 @@ impl Engine {
     pub fn new(device: DeviceSpec, dtype: DType, framework: Framework) -> Self {
         let ctx = SimContext::new(device);
         let db = TileDb::profile(ctx.cost());
+        let reference = cublas::gemm_cost_only(ctx.cost(), &db, 2048, 2048, 2048, dtype);
         Engine {
+            reference_flops_per_s: reference.flops_executed / reference.latency_s,
             ctx,
             db,
             dtype,
             framework,
             devices: 1,
             gemm_time_s: 0.0,
+            total_s: 0.0,
+            tally: CostTally::default(),
         }
     }
 
@@ -185,11 +217,59 @@ impl Engine {
         self.dtype.size_bytes()
     }
 
-    /// Records a dense GEMM `[m,k]×[k,n]` through the library's best tile,
-    /// split across the tensor-parallel devices.
-    pub fn gemm(&mut self, label: &str, m: usize, k: usize, n: usize) {
+    /// The simulation ledger: labelled records and the memory tracker.
+    pub fn ctx(&self) -> &SimContext {
+        &self.ctx
+    }
+
+    /// Adds one priced operator to the running totals, without a record.
+    pub(crate) fn charge(&mut self, charge: Charge) {
+        let latency = charge.stats.latency_s;
+        self.total_s += latency;
+        match charge.category {
+            CostCategory::Attention => self.tally.attention_s += latency,
+            CostCategory::SparseConversion => self.tally.sparse_conversion_s += latency,
+            CostCategory::JitSearch => self.tally.jit_search_s += latency,
+            CostCategory::DenseGemm => self.tally.dense_s += latency,
+        }
+        self.tally.flops_useful += charge.stats.flops_useful;
+        self.tally.flops_executed += charge.stats.flops_executed;
+        if charge.gemm {
+            self.gemm_time_s += latency;
+        }
+    }
+
+    /// Charges a priced operator and appends its labelled record.
+    fn record_charge(&mut self, label: impl Into<String>, charge: Charge) {
+        self.charge(charge);
+        self.ctx.record(label, charge.stats);
+    }
+
+    /// Records a kernel priced outside the engine under `label`'s ledger
+    /// category (not GEMM-class: it does not count toward
+    /// [`Engine::gemm_time_s`]).
+    pub(crate) fn record(&mut self, label: impl Into<String>, stats: KernelStats) {
+        let label = label.into();
+        let charge = Charge {
+            category: categorize_label(&label),
+            stats,
+            gemm: false,
+        };
+        self.record_charge(label, charge);
+    }
+
+    /// Prices a dense GEMM `[m,k]×[k,n]` through the library's best tile,
+    /// split across the tensor-parallel devices; `None` when any dimension
+    /// is zero.
+    pub(crate) fn price_gemm(
+        &self,
+        category: CostCategory,
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> Option<Charge> {
         if m == 0 || k == 0 || n == 0 {
-            return;
+            return None;
         }
         let mut stats = cublas::gemm_cost_only(
             self.cost(),
@@ -200,22 +280,35 @@ impl Engine {
             self.dtype,
         );
         stats.latency_s = stats.latency_s.max(self.cost().device().kernel_launch_s);
-        self.gemm_time_s += stats.latency_s;
-        self.ctx.record(label, stats);
+        Some(Charge {
+            category,
+            stats,
+            gemm: true,
+        })
     }
 
-    /// Records GEMM-class work given raw FLOPs and touched bytes (used for
-    /// attention score/context products whose shapes are per-sequence).
-    /// Latency is `flops / sustained-GEMM-throughput`, bounded below by the
-    /// memory time of the touched bytes.
-    pub fn gemm_flops(&mut self, label: &str, flops: f64, bytes: f64) {
-        if flops <= 0.0 {
-            return;
+    /// Records a dense GEMM `[m,k]×[k,n]` through the library's best tile,
+    /// split across the tensor-parallel devices.
+    pub fn gemm(&mut self, label: &str, m: usize, k: usize, n: usize) {
+        if let Some(charge) = self.price_gemm(categorize_label(label), m, k, n) {
+            self.record_charge(label, charge);
         }
-        let reference = cublas::gemm_cost_only(self.cost(), &self.db, 2048, 2048, 2048, self.dtype);
-        let throughput = reference.flops_executed / reference.latency_s;
+    }
+
+    /// Prices GEMM-class work given raw FLOPs and touched bytes: latency is
+    /// `flops / sustained-GEMM-throughput`, bounded below by the memory
+    /// time of the touched bytes. `None` for no FLOPs.
+    pub(crate) fn price_gemm_flops(
+        &self,
+        category: CostCategory,
+        flops: f64,
+        bytes: f64,
+    ) -> Option<Charge> {
+        if flops <= 0.0 {
+            return None;
+        }
         let d = self.devices as f64;
-        let compute = flops / throughput / d;
+        let compute = flops / self.reference_flops_per_s / d;
         let memory = bytes / self.cost().device().bw_total() / d;
         let stats = KernelStats {
             flops_useful: flops,
@@ -225,8 +318,21 @@ impl Engine {
             tiles_executed: 0,
             latency_s: compute.max(memory) + self.cost().device().kernel_launch_s,
         };
-        self.gemm_time_s += stats.latency_s;
-        self.ctx.record(label, stats);
+        Some(Charge {
+            category,
+            stats,
+            gemm: true,
+        })
+    }
+
+    /// Records GEMM-class work given raw FLOPs and touched bytes (used for
+    /// attention score/context products whose shapes are per-sequence).
+    /// Latency is `flops / sustained-GEMM-throughput`, bounded below by the
+    /// memory time of the touched bytes.
+    pub fn gemm_flops(&mut self, label: &str, flops: f64, bytes: f64) {
+        if let Some(charge) = self.price_gemm_flops(categorize_label(label), flops, bytes) {
+            self.record_charge(label, charge);
+        }
     }
 
     /// Records a GEMM whose reduction axis is cut to `k_frac` of `k` by
@@ -244,15 +350,25 @@ impl Engine {
         );
         stats.latency_s *= self.cost().gather_factor();
         stats.flops_useful = 2.0 * (m * n) as f64 * (k as f64 * k_frac);
-        self.gemm_time_s += stats.latency_s;
-        self.ctx.record(label, stats);
+        let charge = Charge {
+            category: categorize_label(label),
+            stats,
+            gemm: true,
+        };
+        self.record_charge(label, charge);
     }
 
-    /// Records an elementwise kernel over `numel` elements with `n_inputs`
-    /// read streams, honouring the framework's fusion behaviour.
-    pub fn elementwise(&mut self, label: &str, numel: usize, n_inputs: usize) {
+    /// Prices an elementwise kernel over `numel` elements with `n_inputs`
+    /// read streams, honouring the framework's fusion behaviour; `None`
+    /// for no elements.
+    pub(crate) fn price_elementwise(
+        &self,
+        category: CostCategory,
+        numel: usize,
+        n_inputs: usize,
+    ) -> Option<Charge> {
         if numel == 0 {
-            return;
+            return None;
         }
         let mut stats = dense::elementwise_cost(
             self.cost(),
@@ -265,31 +381,75 @@ impl Engine {
             // elementwise chain.
             stats.latency_s = stats.latency_s * 0.5 + self.cost().device().kernel_launch_s * 0.5;
         }
-        self.ctx.record(label, stats);
+        Some(Charge {
+            category,
+            stats,
+            gemm: false,
+        })
+    }
+
+    /// Records an elementwise kernel over `numel` elements with `n_inputs`
+    /// read streams, honouring the framework's fusion behaviour.
+    pub fn elementwise(&mut self, label: &str, numel: usize, n_inputs: usize) {
+        if let Some(charge) = self.price_elementwise(categorize_label(label), numel, n_inputs) {
+            self.record_charge(label, charge);
+        }
+    }
+
+    /// Prices a softmax over `rows × cols`; `None` when empty.
+    pub(crate) fn price_softmax(
+        &self,
+        category: CostCategory,
+        rows: usize,
+        cols: usize,
+    ) -> Option<Charge> {
+        if rows == 0 || cols == 0 {
+            return None;
+        }
+        let stats = dense::softmax_cost(self.cost(), rows.div_ceil(self.devices), cols, self.dtype);
+        Some(Charge {
+            category,
+            stats,
+            gemm: false,
+        })
     }
 
     /// Records a softmax over `rows × cols`.
     pub fn softmax(&mut self, label: &str, rows: usize, cols: usize) {
-        if rows == 0 || cols == 0 {
-            return;
+        if let Some(charge) = self.price_softmax(categorize_label(label), rows, cols) {
+            self.record_charge(label, charge);
         }
-        let stats = dense::softmax_cost(self.cost(), rows.div_ceil(self.devices), cols, self.dtype);
-        self.ctx.record(label, stats);
+    }
+
+    /// Prices a LayerNorm over `rows × cols`; `None` when empty.
+    pub(crate) fn price_layernorm(
+        &self,
+        category: CostCategory,
+        rows: usize,
+        cols: usize,
+    ) -> Option<Charge> {
+        if rows == 0 || cols == 0 {
+            return None;
+        }
+        let stats =
+            dense::layernorm_cost(self.cost(), rows.div_ceil(self.devices), cols, self.dtype);
+        Some(Charge {
+            category,
+            stats,
+            gemm: false,
+        })
     }
 
     /// Records a LayerNorm over `rows × cols`.
     pub fn layernorm(&mut self, label: &str, rows: usize, cols: usize) {
-        if rows == 0 || cols == 0 {
-            return;
+        if let Some(charge) = self.price_layernorm(categorize_label(label), rows, cols) {
+            self.record_charge(label, charge);
         }
-        let stats =
-            dense::layernorm_cost(self.cost(), rows.div_ceil(self.devices), cols, self.dtype);
-        self.ctx.record(label, stats);
     }
 
     /// Records a fixed host-side overhead (Python loops, driver work).
     pub fn host_overhead(&mut self, label: &str, seconds: f64) {
-        self.ctx.record(
+        self.record(
             label,
             KernelStats {
                 latency_s: seconds,
@@ -306,7 +466,7 @@ impl Engine {
         // Ring all-reduce: 2 * (d-1)/d * bytes over the link.
         let d = self.devices as f64;
         let latency = 2.0 * (d - 1.0) / d * bytes / NVLINK_BW + 10.0e-6;
-        self.ctx.record(
+        self.record(
             label,
             KernelStats {
                 latency_s: latency,
@@ -342,23 +502,14 @@ impl Engine {
 
     /// Total modelled latency so far (ms).
     pub fn latency_ms(&self) -> f64 {
-        self.ctx.total_latency_ms()
+        self.total_s * 1e3
     }
 
-    /// Sums the record stream into ledger-category totals.
+    /// Ledger-category totals of everything charged so far, summed in
+    /// charge order as each operator is charged (labelled records and
+    /// [`crate::decode::run_step`]'s unrecorded charges alike).
     pub fn cost_tally(&self) -> CostTally {
-        let mut tally = CostTally::default();
-        for rec in self.ctx.records() {
-            match categorize_label(&rec.name) {
-                CostCategory::Attention => tally.attention_s += rec.stats.latency_s,
-                CostCategory::SparseConversion => tally.sparse_conversion_s += rec.stats.latency_s,
-                CostCategory::JitSearch => tally.jit_search_s += rec.stats.latency_s,
-                CostCategory::DenseGemm => tally.dense_s += rec.stats.latency_s,
-            }
-            tally.flops_useful += rec.stats.flops_useful;
-            tally.flops_executed += rec.stats.flops_executed;
-        }
-        tally
+        self.tally
     }
 }
 
@@ -375,7 +526,7 @@ mod tests {
         let mut e = engine(Framework::PyTorch);
         e.gemm("test", 1024, 1024, 1024);
         assert!(e.latency_ms() > 0.0);
-        assert_eq!(e.ctx.records().len(), 1);
+        assert_eq!(e.ctx().records().len(), 1);
     }
 
     #[test]
@@ -405,7 +556,7 @@ mod tests {
         multi.gemm("g", 4096, 8192, 4096);
         assert!(multi.latency_ms() < single.latency_ms());
         multi.allreduce("ar", 64.0 * 1024.0 * 1024.0);
-        assert!(multi.ctx.latency_of_s("ar") > 0.0);
+        assert!(multi.ctx().latency_of_s("ar") > 0.0);
     }
 
     #[test]
@@ -448,7 +599,7 @@ mod tests {
     fn transient_peak_only_moves_high_water_mark() {
         let mut e = engine(Framework::Pit);
         e.transient_peak(1 << 30);
-        assert_eq!(e.ctx.memory().current_bytes(), 0);
-        assert_eq!(e.ctx.memory().peak_bytes(), 1 << 30);
+        assert_eq!(e.ctx().memory().current_bytes(), 0);
+        assert_eq!(e.ctx().memory().peak_bytes(), 1 << 30);
     }
 }

@@ -154,7 +154,7 @@ fn ffn(eng: &mut Engine, prefix: &str, tokens: usize, hidden: usize, ffn_dim: us
         // Online detection over the activation values.
         let scan = eng.cost().scan_pass((tokens * ffn_dim * eng.elem()) as f64)
             + eng.cost().index_append(tokens * ffn_dim / 100 / 32);
-        eng.ctx.record(
+        eng.record(
             format!("{prefix}.pit_detect"),
             KernelStats {
                 latency_s: scan,
@@ -262,19 +262,19 @@ pub fn run_inference(
     eng.gemm("lm_head", tokens, cfg.hidden, cfg.vocab.min(4096));
 
     let latency_ms = eng.latency_ms();
-    let convert_ms = ((eng.ctx.latency_of_s("convert")
-        + eng.ctx.latency_of_s("pit_index")
-        + eng.ctx.latency_of_s("pit_detect"))
+    let convert_ms = ((eng.ctx().latency_of_s("convert")
+        + eng.ctx().latency_of_s("pit_index")
+        + eng.ctx().latency_of_s("pit_detect"))
         * 1e3)
         .max(0.0);
-    let peak = eng.ctx.memory().peak_bytes() as f64 * eng.devices as f64;
+    let peak = eng.ctx().memory().peak_bytes() as f64 * eng.devices as f64;
     RunResult {
         framework: framework.name().to_string(),
         model: cfg.name.clone(),
         latency_ms,
         convert_ms,
         peak_gib: peak / (1u64 << 30) as f64,
-        oom: eng.ctx.memory().oom(),
+        oom: eng.ctx().memory().oom(),
     }
 }
 

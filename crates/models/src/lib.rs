@@ -30,6 +30,6 @@ pub mod moe;
 pub mod training;
 
 pub use configs::{AttnKind, ModelConfig, MoeConfig};
-pub use decode::{run_step, DecodeSlot, StepShape, KV_MICROTILE_ROWS};
+pub use decode::{run_pass, run_step, DecodeSlot, KvWrite, StepShape, KV_MICROTILE_ROWS};
 pub use engine::{categorize_label, CostCategory, CostTally, Engine, Framework};
 pub use inference::{run_inference, RunResult};

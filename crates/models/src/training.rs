@@ -62,7 +62,7 @@ pub fn run_training_step(
     // Backward: dgrad + wgrad GEMMs (2x forward GEMM time) + one
     // elementwise sweep over activations.
     let bwd = 2.0 * eng.gemm_time_s;
-    eng.ctx.record(
+    eng.record(
         "backward.gemms",
         KernelStats {
             latency_s: bwd,
@@ -73,7 +73,7 @@ pub fn run_training_step(
 
     // PyTorch-S rebuilds sparse indices for every layer in backward too.
     if framework == Framework::PyTorchS {
-        let convert = eng.ctx.latency_of_s("convert");
+        let convert = eng.ctx().latency_of_s("convert");
         eng.host_overhead("backward.convert", convert);
     }
 
@@ -81,14 +81,14 @@ pub fn run_training_step(
     eng.elementwise("adam", params, 3);
 
     let latency_ms = eng.latency_ms();
-    let convert_ms = (eng.ctx.latency_of_s("convert") * 1e3).max(0.0);
+    let convert_ms = (eng.ctx().latency_of_s("convert") * 1e3).max(0.0);
     RunResult {
         framework: framework.name().to_string(),
         model: cfg.name.clone(),
         latency_ms,
         convert_ms,
-        peak_gib: eng.ctx.memory().peak_bytes() as f64 / (1u64 << 30) as f64,
-        oom: eng.ctx.memory().oom(),
+        peak_gib: eng.ctx().memory().peak_bytes() as f64 / (1u64 << 30) as f64,
+        oom: eng.ctx().memory().oom(),
     }
 }
 
@@ -235,7 +235,7 @@ pub fn run_pruning_step(
     // Stored activations + backward at 2x forward GEMM time.
     eng.alloc_retained(4 * tokens * cfg.hidden * elem * cfg.layers);
     let bwd = 2.0 * eng.gemm_time_s;
-    eng.ctx.record(
+    eng.record(
         "backward.gemms",
         KernelStats {
             latency_s: bwd,
@@ -243,7 +243,7 @@ pub fn run_pruning_step(
         },
     );
     if framework == Framework::PyTorchS {
-        let convert = eng.ctx.latency_of_s("convert");
+        let convert = eng.ctx().latency_of_s("convert");
         eng.host_overhead("backward.convert", convert);
     }
     eng.elementwise("adam", params, 3);
@@ -252,10 +252,11 @@ pub fn run_pruning_step(
         framework: framework.name().to_string(),
         model: format!("BERT-prune-{}x{}", gran.0, gran.1),
         latency_ms: eng.latency_ms(),
-        convert_ms: ((eng.ctx.latency_of_s("convert") + eng.ctx.latency_of_s("pit_index")) * 1e3)
+        convert_ms: ((eng.ctx().latency_of_s("convert") + eng.ctx().latency_of_s("pit_index"))
+            * 1e3)
             .max(0.0),
-        peak_gib: eng.ctx.memory().peak_bytes() as f64 / (1u64 << 30) as f64,
-        oom: eng.ctx.memory().oom(),
+        peak_gib: eng.ctx().memory().peak_bytes() as f64 / (1u64 << 30) as f64,
+        oom: eng.ctx().memory().oom(),
     }
 }
 

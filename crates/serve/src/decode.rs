@@ -712,12 +712,14 @@ impl Seq {
 }
 
 /// Prices one iteration on a fresh engine through the shared JIT cache
-/// and classifies its record stream into a ledger [`StepSample`].
+/// and turns the engine's category tally into a ledger [`StepSample`].
 /// `real_rows` is the number of non-padding rows (selection samples the
 /// step's token occupancy, and only cache misses pay the modelled
-/// Algorithm-1 search cost, as in the prefill runtime). The engine
-/// records one fused attention kernel per layer, so its attention total
-/// is split prefill-vs-decode by the shape's score weighting
+/// Algorithm-1 search cost, as in the prefill runtime). [`run_step`]
+/// prices one layer and charges it once per layer, so a step costs the
+/// host one layer's pricing, not the whole stack's. The engine charges
+/// one fused attention kernel per layer, so its attention total is split
+/// prefill-vs-decode by the shape's score weighting
 /// ([`StepShape::prefill_attention_fraction`]).
 fn step_sample(
     cfg: &DecodeServeConfig,

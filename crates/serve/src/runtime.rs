@@ -24,7 +24,7 @@ use crate::scheduler::{BatchPolicy, FormedBatch};
 use pit_core::jit::{JitCache, KernelKey};
 use pit_core::select_kernel;
 use pit_gpusim::DeviceSpec;
-use pit_models::{Engine, ModelConfig};
+use pit_models::{run_pass, Engine, KvWrite, ModelConfig, StepShape};
 use pit_sparse::Mask;
 use pit_tensor::DType;
 use pit_trace::{
@@ -210,12 +210,12 @@ pub fn batch_gpu_seconds(cfg: &ServeConfig, formed: &FormedBatch, cache: &JitCac
 
 /// [`batch_gpu_seconds`] plus the batch's ledger category split: GPU
 /// seconds, attention/conversion/search attribution and the FLOP
-/// counters, classified off the engine's record stream. A serving
-/// forward pass is all prefill, so its attention lands in
-/// `prefill_attention_s`.
+/// counters, tallied by the engine as the batch is charged. A serving
+/// forward pass is a stateless prefill of the batch's effective lengths
+/// ([`run_pass`] with [`KvWrite::Skip`]: this runtime keeps no KV cache),
+/// so its attention lands in `prefill_attention_s`.
 pub fn batch_step_sample(cfg: &ServeConfig, formed: &FormedBatch, cache: &JitCache) -> StepSample {
     let mut eng = Engine::new(cfg.device.clone(), cfg.dtype, cfg.policy.framework());
-    let m = &cfg.model;
     let tokens = formed.padded_tokens;
     if tokens == 0 {
         return StepSample::default();
@@ -224,38 +224,14 @@ pub fn batch_step_sample(cfg: &ServeConfig, formed: &FormedBatch, cache: &JitCac
         &mut eng,
         cache,
         "serve.fwd",
-        m,
+        &cfg.model,
         formed.real_tokens,
         tokens,
         0,
     );
-
-    let lens = &formed.effective_lens;
-    let sum_sq: f64 = formed.sum_sq_effective() as f64;
-    let elem = eng.elem() as f64;
-    eng.elementwise("embed", tokens * m.hidden, 1);
-    for layer in 0..m.layers {
-        let p = format!("l{layer}");
-        debug_assert_eq!(lens.iter().sum::<usize>(), tokens);
-        eng.gemm(&format!("{p}.qkv"), tokens, m.hidden, 3 * m.hidden);
-        let score_flops = 2.0 * sum_sq * m.hidden as f64;
-        let score_bytes = sum_sq * m.heads as f64 * elem;
-        eng.gemm_flops(&format!("{p}.scores"), score_flops, score_bytes);
-        eng.softmax(
-            &format!("{p}.softmax"),
-            (sum_sq * m.heads as f64 / 64.0).ceil() as usize,
-            64,
-        );
-        eng.gemm_flops(&format!("{p}.context"), score_flops, score_bytes);
-        eng.gemm(&format!("{p}.out"), tokens, m.hidden, m.hidden);
-        eng.layernorm(&format!("{p}.attn_ln"), tokens, m.hidden);
-        eng.gemm(&format!("{p}.fc1"), tokens, m.hidden, m.ffn);
-        eng.elementwise(&format!("{p}.act"), tokens * m.ffn, 1);
-        eng.gemm(&format!("{p}.fc2"), tokens, m.ffn, m.hidden);
-        eng.layernorm(&format!("{p}.ffn_ln"), tokens, m.hidden);
-        eng.elementwise(&format!("{p}.residual"), tokens * m.hidden, 2);
-    }
-    eng.gemm("head", tokens, m.hidden, m.vocab.min(4096));
+    let shape = StepShape::prefill(formed.effective_lens.clone());
+    debug_assert_eq!(shape.rows(), tokens);
+    run_pass(&mut eng, &cfg.model, &shape, KvWrite::Skip);
     let tally = eng.cost_tally();
     StepSample {
         gpu_s: eng.latency_ms() / 1e3,

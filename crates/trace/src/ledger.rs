@@ -42,8 +42,8 @@ fn ps(seconds: f64) -> u64 {
 /// Per-step category split handed to [`DeviceLedger::charge_step`].
 ///
 /// `gpu_s` is the step's total modelled device time; the four named
-/// sub-category times were classified out of the engine's record stream
-/// and must sum to at most `gpu_s` (the ledger clamps and gives the
+/// sub-category times are the engine's category tally of the step and
+/// must sum to at most `gpu_s` (the ledger clamps and gives the
 /// dense-GEMM category the residual, so small float excess cannot break
 /// conservation). The remaining fields are annotations.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]

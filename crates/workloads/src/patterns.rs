@@ -391,6 +391,22 @@ pub fn seqlen_study(spec: &DatasetSpec, batch: usize, num_batches: usize, seed: 
     )
 }
 
+/// Pattern hashes of `num_batches` seeded `rows × cols` ReLU activation
+/// masks at the given sparsity, one per batch.
+pub fn relu_pattern_hashes(
+    rows: usize,
+    cols: usize,
+    sparsity: f64,
+    num_batches: usize,
+    seed: u64,
+) -> Vec<u64> {
+    (0..num_batches)
+        .map(|i| {
+            generate::relu_activation_mask(rows, cols, sparsity, seed + i as u64).pattern_hash()
+        })
+        .collect()
+}
+
 /// Runs the ReLU-activation repetition study: each batch's activation mask
 /// (at the given sparsity) is hashed; returns the cumulative hit ratio.
 pub fn relu_study(
@@ -400,9 +416,7 @@ pub fn relu_study(
     num_batches: usize,
     seed: u64,
 ) -> Vec<f64> {
-    cumulative_hit_ratio((0..num_batches).map(|i| {
-        generate::relu_activation_mask(rows, cols, sparsity, seed + i as u64).pattern_hash()
-    }))
+    cumulative_hit_ratio(relu_pattern_hashes(rows, cols, sparsity, num_batches, seed))
 }
 
 #[cfg(test)]

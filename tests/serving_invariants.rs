@@ -1,8 +1,13 @@
 //! Property-based tests (proptest) for the batching and serving
 //! invariants: padding accounting, token conservation under splitting,
-//! and the continuous-batching packer's budget/ordering guarantees.
+//! the continuous-batching packer's budget/ordering guarantees, and the
+//! prefill runtime's step pricing against its former per-layer stack.
 
-use pit::serve::BatchPolicy;
+use pit::core::jit::JitCache;
+use pit::models::Engine;
+use pit::serve::{batch_step_sample, BatchPolicy, FormedBatch, ServeConfig};
+use pit::tensor::DType;
+use pit::trace::StepSample;
 use pit::workloads::{Batch, DatasetSpec};
 use proptest::prelude::*;
 
@@ -134,4 +139,103 @@ proptest! {
         prop_assert!(bucketed.padded_tokens <= padded.padded_tokens);
         prop_assert!(free.padded_tokens <= bucketed.padded_tokens);
     }
+
+    /// Pricing a formed batch through `run_pass` reproduces the prefill
+    /// runtime's former per-layer stack bit for bit under every batching
+    /// policy's framework: PIT, padded PyTorch, and bucketed
+    /// TurboTransformer with its fused elementwise kernels.
+    #[test]
+    fn batch_step_sample_matches_the_reference_stack(
+        policy in 0usize..3,
+        n in 1usize..24,
+        max_len in 1usize..400,
+        f16 in 0usize..2,
+        seed in 0u64..10_000,
+    ) {
+        let policy = [
+            BatchPolicy::PaddingFree { token_budget: usize::MAX },
+            BatchPolicy::PaddedToLongest { max_batch: n },
+            BatchPolicy::Bucketed { max_batch: n, buckets: 3 },
+        ][policy];
+        let mut cfg = ServeConfig::new(policy);
+        cfg.dtype = if f16 == 1 { DType::F16 } else { DType::F32 };
+        let formed = policy.form(lens_from_seed(n, max_len, seed));
+        let sample = batch_step_sample(&cfg, &formed, &JitCache::new());
+        prop_assert_eq!(
+            sample_bits(&sample),
+            sample_bits(&reference_batch_step_sample(&cfg, &formed, &sample))
+        );
+    }
+}
+
+/// The prefill runtime's former hand-written transformer stack, kept as
+/// the oracle `batch_step_sample` must reproduce. The per-shape JIT-search
+/// and PIT-index charges come first and are single charges, so they are
+/// re-charged from `sample` itself; everything after them is the stack.
+fn reference_batch_step_sample(
+    cfg: &ServeConfig,
+    formed: &FormedBatch,
+    sample: &StepSample,
+) -> StepSample {
+    let framework = cfg.policy.framework();
+    let mut eng = Engine::new(cfg.device.clone(), cfg.dtype, framework);
+    let m = &cfg.model;
+    let tokens = formed.padded_tokens;
+    if sample.jit_searches == 1 {
+        eng.host_overhead("jit.search", sample.jit_search_s);
+    }
+    if framework.is_pit() {
+        eng.host_overhead("pit.index", sample.sparse_conversion_s);
+    }
+    let sum_sq: f64 = formed.sum_sq_effective() as f64;
+    let elem = eng.elem() as f64;
+    eng.elementwise("embed", tokens * m.hidden, 1);
+    for layer in 0..m.layers {
+        let p = format!("l{layer}");
+        eng.gemm(&format!("{p}.qkv"), tokens, m.hidden, 3 * m.hidden);
+        let score_flops = 2.0 * sum_sq * m.hidden as f64;
+        let score_bytes = sum_sq * m.heads as f64 * elem;
+        eng.gemm_flops(&format!("{p}.scores"), score_flops, score_bytes);
+        eng.softmax(
+            &format!("{p}.softmax"),
+            (sum_sq * m.heads as f64 / 64.0).ceil() as usize,
+            64,
+        );
+        eng.gemm_flops(&format!("{p}.context"), score_flops, score_bytes);
+        eng.gemm(&format!("{p}.out"), tokens, m.hidden, m.hidden);
+        eng.layernorm(&format!("{p}.attn_ln"), tokens, m.hidden);
+        eng.gemm(&format!("{p}.fc1"), tokens, m.hidden, m.ffn);
+        eng.elementwise(&format!("{p}.act"), tokens * m.ffn, 1);
+        eng.gemm(&format!("{p}.fc2"), tokens, m.ffn, m.hidden);
+        eng.layernorm(&format!("{p}.ffn_ln"), tokens, m.hidden);
+        eng.elementwise(&format!("{p}.residual"), tokens * m.hidden, 2);
+    }
+    eng.gemm("head", tokens, m.hidden, m.vocab.min(4096));
+    let tally = eng.cost_tally();
+    StepSample {
+        gpu_s: eng.latency_ms() / 1e3,
+        prefill_attention_s: tally.attention_s,
+        decode_attention_s: 0.0,
+        sparse_conversion_s: tally.sparse_conversion_s,
+        jit_search_s: tally.jit_search_s,
+        flops_useful: tally.flops_useful,
+        flops_executed: tally.flops_executed,
+        jit_searches: sample.jit_searches,
+        jit_search_measured_s: sample.jit_search_measured_s,
+    }
+}
+
+/// Every modelled field of a step sample as raw bits (the measured search
+/// wall time is an annotation and left out).
+fn sample_bits(s: &StepSample) -> [u64; 8] {
+    [
+        s.gpu_s.to_bits(),
+        s.prefill_attention_s.to_bits(),
+        s.decode_attention_s.to_bits(),
+        s.sparse_conversion_s.to_bits(),
+        s.jit_search_s.to_bits(),
+        s.flops_useful.to_bits(),
+        s.flops_executed.to_bits(),
+        s.jit_searches,
+    ]
 }
