@@ -782,33 +782,22 @@ pub fn simulate_decode_trace_traced(
     trace: &DecodeTrace,
     sink: &TraceSink,
 ) -> DecodeReport {
-    simulate_decode_trace_with_exemplars(cfg, trace, sink, 0).0
+    simulate_decode_trace_observed(cfg, trace, sink, 0, None).0
 }
 
-/// [`simulate_decode_trace_traced`] that additionally captures the `k`
-/// worst request timelines per tail metric (TTFT, max ITL, e2e). The
-/// exemplar buffers live outside the sink, so the tail is observable
-/// even with tracing disabled or head-sampled; `k == 0` captures
-/// nothing and reduces to the traced entry point.
-pub fn simulate_decode_trace_with_exemplars(
-    cfg: &DecodeServeConfig,
-    trace: &DecodeTrace,
-    sink: &TraceSink,
-    exemplar_k: usize,
-) -> (DecodeReport, ExemplarSet) {
-    simulate_decode_trace_observed(cfg, trace, sink, exemplar_k, None)
-}
-
-/// [`simulate_decode_trace_with_exemplars`] that additionally publishes
-/// live metrics into a [`MetricsHub`] as the replay runs — lifecycle
-/// events, per-step ledger charges and KV occupancy at step granularity,
-/// so a concurrently attached [`pit_trace::ScrapeServer`] observes the
-/// run mid-flight.
+/// [`simulate_decode_trace_traced`] that additionally captures the
+/// `exemplar_k` worst request timelines per tail metric (TTFT, max ITL,
+/// e2e) and publishes live metrics into a [`MetricsHub`] as the replay
+/// runs — lifecycle events, per-step ledger charges and KV occupancy at
+/// step granularity, so a concurrently attached
+/// [`pit_trace::ScrapeServer`] observes the run mid-flight.
 ///
-/// The hub is strictly write-only from the replay's point of view:
-/// nothing the simulation computes reads hub state, so attaching a hub
-/// (even one being hammered by scrapers on other threads) leaves the
-/// returned report byte-identical to a hub-free run.
+/// The exemplar buffers live outside the sink, so the tail is observable
+/// even with tracing disabled or head-sampled; `exemplar_k == 0`
+/// captures nothing. The hub is strictly write-only from the replay's
+/// point of view: nothing the simulation computes reads hub state, so
+/// attaching a hub (even one being hammered by scrapers on other
+/// threads) leaves the returned report byte-identical to a hub-free run.
 pub fn simulate_decode_trace_observed(
     cfg: &DecodeServeConfig,
     trace: &DecodeTrace,
@@ -818,7 +807,6 @@ pub fn simulate_decode_trace_observed(
 ) -> (DecodeReport, ExemplarSet) {
     let cache = JitCache::with_capacity(cfg.cache_capacity.max(1));
     let mut kv = PagedKvCache::new(cfg.kv_config());
-    let mut metrics = DecodeMetrics::new();
     let mut waiting: VecDeque<Seq> = trace
         .prompt_lens
         .iter()
@@ -868,27 +856,19 @@ pub fn simulate_decode_trace_observed(
                 &trace.prompt_ids,
                 &mut kv,
                 &cache,
-                &mut metrics,
                 &mut rec,
             );
         }
         // The builder rejected prefix caching, swap preemption and KV
         // sparsity for this policy, so no combination checks remain here.
         DecodePolicy::StaticPadded { max_batch } => {
-            run_static(
-                cfg,
-                max_batch,
-                &mut waiting,
-                &mut kv,
-                &cache,
-                &mut metrics,
-                &mut rec,
-            );
+            run_static(cfg, max_batch, &mut waiting, &mut kv, &cache, &mut rec);
         }
     }
     if cfg.verify_invariants {
         kv.check_invariants().expect("kv invariants at end of run");
     }
+    let (mut metrics, exemplars) = rec.finish();
     if sink.is_enabled() {
         let records = sink.snapshot();
         let spans = reduce_spans(&records);
@@ -902,16 +882,21 @@ pub fn simulate_decode_trace_observed(
     }
     (
         metrics.report(&name, kv.stats(), CacheStats::of(&cache)),
-        rec.finish(),
+        exemplars,
     )
 }
 
-/// Forwards lifecycle events to the trace sink while keeping each live
-/// lane's full timeline for the tail-exemplar reservoir. The timelines
-/// are buffered independently of the sink, so exemplars survive a
-/// disabled or head-sampled sink; with `k == 0` every `record` is a
-/// plain forward and the loop costs one extra branch.
+/// The loop's single observation point: each fact is one call that
+/// writes the report's [`DecodeMetrics`], the trace sink, the exemplar
+/// timelines and the attached hub. Latencies come from the loop's own
+/// [`Seq`] bookkeeping, so an unobserved replay pays no per-token lookup;
+/// the records carry the same facts for the consumers that fold them
+/// back into latencies ([`pit_trace::LifecycleFold`]). Each live lane's
+/// timeline is buffered independently of the sink, so exemplars survive
+/// a disabled or head-sampled sink; with `k == 0` and no hub, `record`
+/// is a plain forward.
 struct Recorder<'a> {
+    metrics: DecodeMetrics,
     sink: &'a TraceSink,
     reservoir: ExemplarReservoir,
     timelines: BTreeMap<u64, Vec<TraceRecord>>,
@@ -924,6 +909,7 @@ struct Recorder<'a> {
 impl<'a> Recorder<'a> {
     fn new(sink: &'a TraceSink, exemplar_k: usize, hub: Option<&'a MetricsHub>) -> Self {
         Recorder {
+            metrics: DecodeMetrics::new(),
             sink,
             reservoir: ExemplarReservoir::new(exemplar_k),
             timelines: BTreeMap::new(),
@@ -932,34 +918,85 @@ impl<'a> Recorder<'a> {
         }
     }
 
-    /// Charges one step's category split and the post-step KV occupancy
-    /// into the attached hub (no-op without one).
-    fn publish_step(&self, sample: &StepSample, occupancy: f64) {
+    /// One executed step completing at `t_s`: the report counts
+    /// `prefill`/`decode` real rows of `processed`, both ledgers take the
+    /// sample's category split, the hub the post-step KV occupancy, and
+    /// the device lane a `Step` record of `traced_prefill` prefill rows.
+    #[allow(clippy::too_many_arguments)]
+    fn step(
+        &mut self,
+        t_s: f64,
+        sample: &StepSample,
+        prefill: usize,
+        decode: usize,
+        processed: usize,
+        traced_prefill: usize,
+        kv: &PagedKvCache,
+    ) {
+        self.metrics.charge_step(sample);
+        self.metrics.record_step(
+            prefill,
+            decode,
+            processed,
+            sample.gpu_s,
+            kv.occupancy(),
+            kv.fragmentation(),
+        );
         if let Some(h) = self.hub {
             h.charge_step(sample);
-            h.set_kv_occupancy(occupancy);
+            h.set_kv_occupancy(kv.occupancy());
         }
+        self.record(
+            t_s,
+            DEVICE_LANE,
+            TraceEvent::Step {
+                prefill_rows: traced_prefill,
+                decode_slots: decode,
+                gpu_s: sample.gpu_s,
+            },
+        );
     }
 
-    /// Charges idle virtual-clock seconds into the attached hub.
-    fn publish_idle(&self, seconds: f64) {
+    /// Charges seconds the device sat idle.
+    fn idle(&mut self, seconds: f64) {
+        self.metrics.charge_idle(seconds);
         if let Some(h) = self.hub {
             h.charge_idle(seconds);
         }
     }
 
-    /// Charges an eviction-DMA stall into the attached hub.
-    fn publish_d2h_stall(&self, seconds: f64) {
+    /// Charges seconds the loop stalled behind an eviction DMA.
+    fn d2h_stall(&mut self, seconds: f64) {
+        self.metrics.charge_d2h_stall(seconds);
         if let Some(h) = self.hub {
             h.charge_d2h_stall(seconds);
         }
     }
 
-    /// Charges a restore-DMA stall into the attached hub.
-    fn publish_h2d_stall(&self, seconds: f64) {
+    /// Charges seconds the loop stalled waiting for a restore to land.
+    fn h2d_stall(&mut self, seconds: f64) {
+        self.metrics.charge_h2d_stall(seconds);
         if let Some(h) = self.hub {
             h.charge_h2d_stall(seconds);
         }
+    }
+
+    /// `s` emitted its next token at `t_s` (call before `s` counts it):
+    /// the request's first token is its TTFT, any later one — a recompute
+    /// re-admission's `FirstToken` included — an ITL since the previous.
+    fn token(&mut self, t_s: f64, s: &Seq, event: TraceEvent) {
+        if s.generated == 0 {
+            self.metrics.record_ttft(t_s - s.arrival_s, s.prefix_hit);
+        } else {
+            self.metrics.record_itl(t_s - s.last_token_s);
+        }
+        self.record(t_s, s.id, event);
+    }
+
+    /// `s` emitted its last token at `t_s`.
+    fn finished(&mut self, t_s: f64, s: &Seq) {
+        self.metrics.record_e2e(t_s - s.arrival_s);
+        self.record(t_s, s.id, TraceEvent::Finished);
     }
 
     fn record(&mut self, t_s: f64, lane: u64, event: TraceEvent) {
@@ -983,8 +1020,8 @@ impl<'a> Recorder<'a> {
         self.sink.record(t_s, lane, event);
     }
 
-    fn finish(self) -> ExemplarSet {
-        self.reservoir.finish()
+    fn finish(self) -> (DecodeMetrics, ExemplarSet) {
+        (self.metrics, self.reservoir.finish())
     }
 }
 
@@ -1010,7 +1047,6 @@ impl<'a> Recorder<'a> {
 /// arrivals), then their restore transfer streams on the h2d link while
 /// the scheduler keeps batching — they rejoin only when the transfer
 /// lands, context intact, nothing re-prefilled.
-#[allow(clippy::too_many_arguments)]
 fn run_continuous(
     cfg: &DecodeServeConfig,
     token_budget: usize,
@@ -1018,7 +1054,6 @@ fn run_continuous(
     prompts: &[Vec<u32>],
     kv: &mut PagedKvCache,
     cache: &JitCache,
-    metrics: &mut DecodeMetrics,
     rec: &mut Recorder,
 ) {
     let token_budget = token_budget.max(1);
@@ -1085,7 +1120,7 @@ fn run_continuous(
                 let (s, was_decoding) = swapped.pop_front().expect("front checked");
                 let moved = kv.swap_in(s.id).expect("frames checked above");
                 let done = eng.swap_in(clock_s, moved);
-                metrics.record_restore(done - clock_s);
+                rec.metrics.record_restore(done - clock_s);
                 rec.record(
                     done,
                     s.id,
@@ -1107,11 +1142,9 @@ fn run_continuous(
                 // Ledger attribution: waiting out an in-flight restore is
                 // an h2d stall; waiting for a future arrival is idle.
                 if restore <= arrival {
-                    metrics.charge_h2d_stall(next - clock_s);
-                    rec.publish_h2d_stall(next - clock_s);
+                    rec.h2d_stall(next - clock_s);
                 } else {
-                    metrics.charge_idle(next - clock_s);
-                    rec.publish_idle(next - clock_s);
+                    rec.idle(next - clock_s);
                 }
                 clock_s = next;
             }
@@ -1155,7 +1188,7 @@ fn run_continuous(
                 let freed = kv
                     .release_seq_pages(s.id, &pages)
                     .expect("retained-set eviction picks legal pages");
-                metrics.record_sparsity_eviction(pages.len(), freed);
+                rec.metrics.record_sparsity_eviction(pages.len(), freed);
                 rec.record(
                     clock_s,
                     s.id,
@@ -1224,7 +1257,7 @@ fn run_continuous(
                 } else {
                     w.prefix_hit = false;
                 }
-                metrics.record_prefix_admission(matched, w.prefix_hit);
+                rec.metrics.record_prefix_admission(matched, w.prefix_hit);
                 if w.prefix_hit {
                     rec.record(
                         clock_s,
@@ -1279,7 +1312,6 @@ fn run_continuous(
                     waiting,
                     &mut swapped,
                     swap.as_mut(),
-                    metrics,
                     rec,
                     &mut clock_s,
                 );
@@ -1291,7 +1323,6 @@ fn run_continuous(
                     waiting,
                     &mut swapped,
                     swap.as_mut(),
-                    metrics,
                     rec,
                     &mut clock_s,
                 );
@@ -1399,7 +1430,6 @@ fn run_continuous(
                     waiting,
                     &mut swapped,
                     swap.as_mut(),
-                    metrics,
                     rec,
                     &mut clock_s,
                 );
@@ -1407,8 +1437,7 @@ fn run_continuous(
             }
             if let Some(ready) = restoring.next_ready_s() {
                 if ready > clock_s {
-                    metrics.charge_h2d_stall(ready - clock_s);
-                    rec.publish_h2d_stall(ready - clock_s);
+                    rec.h2d_stall(ready - clock_s);
                     clock_s = ready;
                     // The whole scheduler waited out the transfer; pin
                     // the wait on the blocked head — a stalled prefill,
@@ -1439,7 +1468,7 @@ fn run_continuous(
                 // preserved context will be re-prefilled after all, so
                 // the savings recorded at swap time are handed back.
                 let preserved = host_written_tokens(kv, victim.id);
-                metrics.record_swap_demotion(preserved);
+                rec.metrics.record_swap_demotion(preserved);
                 rec.record(
                     clock_s,
                     victim.id,
@@ -1494,26 +1523,15 @@ fn run_continuous(
             }
         }
         let sample = step_sample(cfg, &shape, shape.rows(), cache);
-        let gpu_s = sample.gpu_s;
-        clock_s += gpu_s;
-        metrics.charge_step(&sample);
-        metrics.record_step(
+        clock_s += sample.gpu_s;
+        rec.step(
+            clock_s,
+            &sample,
             shape.chunk_tokens(),
             shape.decode_slots(),
             shape.rows(),
-            gpu_s,
-            kv.occupancy(),
-            kv.fragmentation(),
-        );
-        rec.publish_step(&sample, kv.occupancy());
-        rec.record(
-            clock_s,
-            DEVICE_LANE,
-            TraceEvent::Step {
-                prefill_rows: shape.chunk_tokens(),
-                decode_slots: shape.decode_slots(),
-                gpu_s,
-            },
+            shape.chunk_tokens(),
+            kv,
         );
         // The waits observed while planning this step end at its boundary:
         // flush them here so the gap each one explains telescopes exactly
@@ -1533,19 +1551,19 @@ fn run_continuous(
                 re
             })
             .sum();
-        metrics.record_recompute_rework(rework_rows);
-        metrics.record_attention(shape.attended_tokens(), shape.cached_tokens());
+        rec.metrics.record_recompute_rework(rework_rows);
+        rec.metrics
+            .record_attention(shape.attended_tokens(), shape.cached_tokens());
         if swap.is_some() {
-            metrics.record_host_occupancy(kv.host_occupancy());
+            rec.metrics.record_host_occupancy(kv.host_occupancy());
         }
 
         // Decode slots each emitted one token.
         let mut still_running: Vec<Seq> = Vec::with_capacity(running.len() + prefilling.len());
         for (slot, mut s) in shape.decode.iter().zip(running.drain(..)) {
-            metrics.record_itl(clock_s - s.last_token_s);
-            rec.record(
+            rec.token(
                 clock_s,
-                s.id,
+                &s,
                 TraceEvent::DecodeStep {
                     attended: slot.attended,
                     cached: slot.cached,
@@ -1555,8 +1573,7 @@ fn run_continuous(
             s.last_token_s = clock_s;
             if s.done() {
                 kv.free(s.id).expect("completed request held pages");
-                metrics.record_e2e(clock_s - s.arrival_s);
-                rec.record(clock_s, s.id, TraceEvent::Finished);
+                rec.finished(clock_s, &s);
             } else {
                 kv.extend(s.id, 1).expect("headroom reserved before step");
                 still_running.push(s);
@@ -1589,20 +1606,14 @@ fn run_continuous(
                     }
                 }
             }
-            if s.generated == 0 {
-                metrics.record_ttft(clock_s - s.arrival_s, s.prefix_hit);
-                rec.record(clock_s, s.id, TraceEvent::FirstToken);
-            } else {
-                // Re-admitted after preemption: the gap includes requeue
-                // and recompute — the honest preemption penalty.
-                metrics.record_itl(clock_s - s.last_token_s);
-            }
+            // After a recompute re-admission this token's gap includes
+            // requeue and recompute — the honest preemption penalty.
+            rec.token(clock_s, &s, TraceEvent::FirstToken);
             s.generated += 1;
             s.last_token_s = clock_s;
             if s.done() {
                 kv.free(s.id).expect("completed request held pages");
-                metrics.record_e2e(clock_s - s.arrival_s);
-                rec.record(clock_s, s.id, TraceEvent::Finished);
+                rec.finished(clock_s, &s);
             } else {
                 kv.extend(s.id, 1).expect("carry page reserved at planning");
                 still_running.push(s);
@@ -1624,10 +1635,10 @@ fn run_continuous(
     // End of run: snapshot the transfer counters and the index's, then
     // release the index's page pins so the pool drains leak-free.
     if let Some(eng) = swap {
-        metrics.set_swap(eng.stats());
+        rec.metrics.set_swap(eng.stats());
     }
     if let Some(mut ix) = index {
-        metrics.set_prefix(ix.stats());
+        rec.metrics.set_prefix(ix.stats());
         let held = ix.drain_all();
         if !held.is_empty() {
             kv.release_pages(&held).expect("index pages were retained");
@@ -1724,7 +1735,6 @@ fn preempt_victim(
     waiting: &mut VecDeque<Seq>,
     swapped: &mut VecDeque<(Seq, bool)>,
     swap: Option<&mut SwapEngine>,
-    metrics: &mut DecodeMetrics,
     rec: &mut Recorder,
     clock_s: &mut f64,
 ) {
@@ -1750,9 +1760,8 @@ fn preempt_victim(
             *clock_s = eng.swap_out(*clock_s, plan.len());
             // The eviction DMA gates the reclaiming step: the clock
             // advance is a d2h stall on the ledger.
-            metrics.charge_d2h_stall(*clock_s - initiated_s);
-            rec.publish_d2h_stall(*clock_s - initiated_s);
-            metrics.record_swap_preempt(saved);
+            rec.d2h_stall(*clock_s - initiated_s);
+            rec.metrics.record_swap_preempt(saved);
             rec.record(
                 initiated_s,
                 victim.id,
@@ -1772,7 +1781,7 @@ fn preempt_victim(
             swapped.push_back((victim, was_decoding));
             return;
         }
-        metrics.record_swap_fallback();
+        rec.metrics.record_swap_fallback();
         rec.record(
             *clock_s,
             victim.id,
@@ -1800,7 +1809,6 @@ fn run_static(
     waiting: &mut VecDeque<Seq>,
     kv: &mut PagedKvCache,
     cache: &JitCache,
-    metrics: &mut DecodeMetrics,
     rec: &mut Recorder,
 ) {
     let max_batch = max_batch.max(1);
@@ -1809,8 +1817,7 @@ fn run_static(
     while !waiting.is_empty() {
         let arrival = waiting.front().expect("non-empty").arrival_s;
         if arrival > clock_s {
-            metrics.charge_idle(arrival - clock_s);
-            rec.publish_idle(arrival - clock_s);
+            rec.idle(arrival - clock_s);
             clock_s = arrival;
         }
         let mut batch: Vec<Seq> = Vec::new();
@@ -1880,36 +1887,15 @@ fn run_static(
         let shape = StepShape::prefill(vec![max_p; b]);
         let real: usize = batch.iter().map(|s| s.prompt).sum();
         let sample = step_sample(cfg, &shape, real, cache);
-        let gpu_s = sample.gpu_s;
-        clock_s += gpu_s;
-        metrics.charge_step(&sample);
-        metrics.record_step(
-            real,
-            0,
-            shape.rows(),
-            gpu_s,
-            kv.occupancy(),
-            kv.fragmentation(),
-        );
-        rec.publish_step(&sample, kv.occupancy());
-        rec.record(
-            clock_s,
-            DEVICE_LANE,
-            TraceEvent::Step {
-                prefill_rows: shape.rows(),
-                decode_slots: 0,
-                gpu_s,
-            },
-        );
+        clock_s += sample.gpu_s;
+        rec.step(clock_s, &sample, real, 0, shape.rows(), shape.rows(), kv);
         for s in batch.iter_mut() {
-            metrics.record_ttft(clock_s - s.arrival_s, false);
-            rec.record(clock_s, s.id, TraceEvent::FirstToken);
+            rec.token(clock_s, s, TraceEvent::FirstToken);
             s.generated = 1;
             s.last_token_s = clock_s;
             kv.extend(s.id, 1).expect("inside reservation");
             if s.done() {
-                metrics.record_e2e(clock_s - s.arrival_s);
-                rec.record(clock_s, s.id, TraceEvent::Finished);
+                rec.finished(clock_s, s);
             }
         }
 
@@ -1925,28 +1911,16 @@ fn run_static(
             let shape = StepShape::decode(vec![ctx_pad; b]);
             let live = batch.iter().filter(|s| s.target >= t).count();
             let sample = step_sample(cfg, &shape, live, cache);
-            let gpu_s = sample.gpu_s;
-            clock_s += gpu_s;
-            metrics.charge_step(&sample);
-            metrics.record_step(0, live, b, gpu_s, kv.occupancy(), kv.fragmentation());
-            rec.publish_step(&sample, kv.occupancy());
-            rec.record(
-                clock_s,
-                DEVICE_LANE,
-                TraceEvent::Step {
-                    prefill_rows: 0,
-                    decode_slots: live,
-                    gpu_s,
-                },
-            );
+            clock_s += sample.gpu_s;
+            rec.step(clock_s, &sample, 0, live, b, 0, kv);
             // Fixed-shape kernels attend the full reservation every step:
             // attended == cached == the padded context, per slot.
-            metrics.record_attention(shape.attended_tokens(), shape.cached_tokens());
+            rec.metrics
+                .record_attention(shape.attended_tokens(), shape.cached_tokens());
             for s in batch.iter_mut().filter(|s| s.target >= t) {
-                metrics.record_itl(clock_s - s.last_token_s);
-                rec.record(
+                rec.token(
                     clock_s,
-                    s.id,
+                    s,
                     TraceEvent::DecodeStep {
                         attended: ctx_pad,
                         cached: ctx_pad,
@@ -1956,8 +1930,7 @@ fn run_static(
                 s.last_token_s = clock_s;
                 kv.extend(s.id, 1).expect("inside reservation");
                 if s.done() {
-                    metrics.record_e2e(clock_s - s.arrival_s);
-                    rec.record(clock_s, s.id, TraceEvent::Finished);
+                    rec.finished(clock_s, s);
                 }
             }
         }

@@ -62,11 +62,18 @@
 //! Observability: [`decode::simulate_decode_trace_traced`] records every
 //! request-lifecycle event (admission, prefill chunks, tokens,
 //! preemptions, swap transfers, completion) into a `pit_trace::TraceSink`
-//! on the virtual clock. An enabled sink adds a per-request
-//! queue/prefill/decode/stall breakdown to the report and can be exported
-//! to Chrome `trace_event` JSON via `pit_trace::chrome_trace_json`; the
-//! default entry points pass a disabled sink, whose recording cost is one
-//! branch per event.
+//! on the virtual clock; [`decode::simulate_decode_trace_observed`] adds
+//! tail exemplars and a live `pit_trace::MetricsHub`. Inside the loop one
+//! recorder is the single observation point: each fact (a step, a stall,
+//! a token, a completion) is one call that writes the report's
+//! [`DecodeMetrics`], the sink, the exemplars and the hub. An enabled sink
+//! adds a per-request queue/prefill/decode/stall breakdown to the report
+//! and exports to Chrome `trace_event` JSON via
+//! `pit_trace::chrome_trace_json`; a disabled sink costs one branch per
+//! event. Consumers that read latencies back off the records share
+//! `pit_trace::LifecycleFold`, which counts exactly the report's TTFT /
+//! ITL / e2e samples; [`serve_trace_arrivals_observed`] feeds the same
+//! fold through `Step`, `FirstToken` and `Finished` records.
 
 pub mod decode;
 pub mod metrics;

@@ -73,6 +73,14 @@ impl<T> BoundedQueue<T> {
     /// Returns `Err(Closed)` if the queue was closed before the item could
     /// be admitted.
     pub fn push(&self, item: T) -> Result<(), Closed> {
+        self.push_with(item, |_| {})
+    }
+
+    /// [`Self::push`] that calls `admitted` with the new queue depth
+    /// before any consumer can pop `item` (the queue lock is still held),
+    /// so a publisher can announce the admission strictly ahead of
+    /// anything that completes the request.
+    pub fn push_with(&self, item: T, admitted: impl FnOnce(usize)) -> Result<(), Closed> {
         let mut s = self.lock();
         while s.items.len() >= self.capacity && !s.closed {
             s = self.not_full.wait(s).expect("queue poisoned");
@@ -80,14 +88,17 @@ impl<T> BoundedQueue<T> {
         if s.closed {
             return Err(Closed);
         }
-        s.items.push_back(item);
-        s.high_water = s.high_water.max(s.items.len());
-        self.not_empty.notify_one();
+        self.enqueue(&mut s, item, admitted);
         Ok(())
     }
 
     /// Enqueues `item` without blocking.
     pub fn try_push(&self, item: T) -> Result<(), TryPushError> {
+        self.try_push_with(item, |_| {})
+    }
+
+    /// [`Self::try_push`] with [`Self::push_with`]'s admission callback.
+    pub fn try_push_with(&self, item: T, admitted: impl FnOnce(usize)) -> Result<(), TryPushError> {
         let mut s = self.lock();
         if s.closed {
             return Err(TryPushError::ClosedQueue);
@@ -95,10 +106,15 @@ impl<T> BoundedQueue<T> {
         if s.items.len() >= self.capacity {
             return Err(TryPushError::Full);
         }
+        self.enqueue(&mut s, item, admitted);
+        Ok(())
+    }
+
+    fn enqueue(&self, s: &mut State<T>, item: T, admitted: impl FnOnce(usize)) {
         s.items.push_back(item);
         s.high_water = s.high_water.max(s.items.len());
+        admitted(s.items.len());
         self.not_empty.notify_one();
-        Ok(())
     }
 
     /// Dequeues the oldest item, blocking while the queue is empty.
@@ -216,6 +232,16 @@ mod tests {
         assert_eq!(q.try_push(3), Err(TryPushError::Full));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.try_push(3), Ok(()));
+        // The admission callback runs only for an admitted item, with the
+        // depth that counts it.
+        let mut depths = Vec::new();
+        let full = q.try_push_with(4, |d| depths.push(d));
+        assert_eq!(full, Err(TryPushError::Full));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.try_push_with(4, |d| depths.push(d)), Ok(()));
+        assert_eq!(q.pop(), Some(3));
+        assert_eq!(q.push_with(5, |d| depths.push(d)), Ok(()));
+        assert_eq!(depths, vec![2, 2]);
     }
 
     #[test]

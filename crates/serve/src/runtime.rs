@@ -28,7 +28,8 @@ use pit_models::{run_pass, Engine, KvWrite, ModelConfig, StepShape};
 use pit_sparse::Mask;
 use pit_tensor::DType;
 use pit_trace::{
-    BlameAggregate, BlameBreakdown, BlameCategory, MetricsHub, StepSample, TraceEvent, WindowSeries,
+    BlameAggregate, BlameBreakdown, BlameCategory, MetricsHub, StepSample, TraceEvent,
+    WindowSeries, DEVICE_LANE,
 };
 use pit_workloads::ArrivalTrace;
 use std::collections::VecDeque;
@@ -113,6 +114,8 @@ impl ServeConfig {
 
 /// One admitted request travelling through the runtime.
 struct Request {
+    /// Trace index: the request's lane in published lifecycle events.
+    lane: u64,
     len: usize,
     submitted: Instant,
     done: mpsc::Sender<()>,
@@ -261,10 +264,18 @@ fn worker_loop(
         let sample = batch_step_sample(cfg, &item.formed, cache);
         metrics.record_batch(&item.formed, sample.gpu_s);
         metrics.charge_step(&sample);
+        let t_s = started.elapsed().as_secs_f64();
         if let Some(h) = hub {
             h.charge_step(&sample);
-            h.add("pit_hub_steps_total", 1.0);
-            h.add("pit_hub_gpu_seconds_total", sample.gpu_s);
+            h.on_record(
+                t_s,
+                DEVICE_LANE,
+                &TraceEvent::Step {
+                    prefill_rows: item.formed.real_tokens,
+                    decode_slots: 0,
+                    gpu_s: sample.gpu_s,
+                },
+            );
             h.add(
                 "pit_hub_batch_real_tokens_total",
                 item.formed.real_tokens as f64,
@@ -275,15 +286,12 @@ fn worker_loop(
             );
         }
         for r in item.requests {
-            let latency_s = r.submitted.elapsed().as_secs_f64();
-            metrics.record_latency(latency_s);
+            metrics.record_latency(r.submitted.elapsed().as_secs_f64());
             if let Some(h) = hub {
                 // Whole-batch service: the first token lands at batch
                 // completion, so TTFT and e2e coincide (cf. `batch_blame`).
-                let t_s = started.elapsed().as_secs_f64();
-                h.observe_ttft(t_s, latency_s);
-                h.observe_e2e(t_s, latency_s);
-                h.add("pit_hub_finished_total", 1.0);
+                h.on_record(t_s, r.lane, &TraceEvent::FirstToken);
+                h.on_record(t_s, r.lane, &TraceEvent::Finished);
             }
             let _ = r.done.send(());
         }
@@ -362,6 +370,7 @@ pub fn serve_trace(cfg: &ServeConfig, trace: &[usize]) -> ServingReport {
                     let Some(&len) = trace.get(i) else { break };
                     let (done, done_rx) = mpsc::channel();
                     let request = Request {
+                        lane: i as u64,
                         len,
                         submitted: Instant::now(),
                         done,
@@ -475,9 +484,11 @@ pub fn serve_trace_arrivals(cfg: &ServeConfig, trace: &ArrivalTrace) -> ServingR
 /// [`serve_trace_arrivals`] that additionally publishes live metrics into
 /// a [`MetricsHub`] while the threaded replay runs: the submitter
 /// publishes admissions, rejections and the live queue-depth gauge on the
-/// trace clock; workers publish per-batch ledger charges, token counters
-/// and per-request TTFT/e2e observations on the wall clock since run
-/// start (the two clocks coincide while the submitter keeps schedule).
+/// trace clock; workers publish each batch as a ledger charge plus a
+/// device-lane `Step` record, and each completion as `FirstToken` +
+/// `Finished` on the request's lane, on the wall clock since run start
+/// (the two clocks coincide while the submitter keeps schedule) — the
+/// hub's lifecycle fold turns those into TTFT/e2e observations.
 /// The hub is write-only for every thread — no publisher reads it — so a
 /// concurrent scraper never perturbs scheduling decisions.
 pub fn serve_trace_arrivals_observed(
@@ -511,55 +522,51 @@ pub fn serve_trace_arrivals_observed(
                 }
                 let (done, _done_rx) = mpsc::channel();
                 let request = Request {
+                    lane: i as u64,
                     len,
                     submitted: Instant::now(),
                     done,
                 };
+                // Published under the queue lock: a worker can complete
+                // the request only after the hub has seen its arrival.
+                let publish = |depth: usize| {
+                    if let Some(h) = hub {
+                        h.on_record(
+                            arrival,
+                            i as u64,
+                            &TraceEvent::Admitted { arrival_s: arrival },
+                        );
+                        h.set_gauge("pit_hub_admission_queue_depth", depth as f64);
+                    }
+                };
                 match cfg.admission {
                     AdmissionMode::Block => {
-                        if admission.push(request).is_err() {
+                        if admission.push_with(request, publish).is_err() {
                             break;
                         }
                         if let Some(w) = windows.as_mut() {
                             w.admitted(arrival);
                         }
-                        if let Some(h) = hub {
-                            h.on_record(
-                                arrival,
-                                i as u64,
-                                &TraceEvent::Admitted { arrival_s: arrival },
-                            );
-                            h.set_gauge("pit_hub_admission_queue_depth", admission.len() as f64);
+                    }
+                    AdmissionMode::RejectWhenFull => {
+                        match admission.try_push_with(request, publish) {
+                            Ok(()) => {
+                                if let Some(w) = windows.as_mut() {
+                                    w.admitted(arrival);
+                                }
+                            }
+                            Err(TryPushError::Full) => {
+                                metrics.record_rejected();
+                                if let Some(w) = windows.as_mut() {
+                                    w.rejected(arrival);
+                                }
+                                if let Some(h) = hub {
+                                    h.on_record(arrival, i as u64, &TraceEvent::Rejected);
+                                }
+                            }
+                            Err(TryPushError::ClosedQueue) => break,
                         }
                     }
-                    AdmissionMode::RejectWhenFull => match admission.try_push(request) {
-                        Ok(()) => {
-                            if let Some(w) = windows.as_mut() {
-                                w.admitted(arrival);
-                            }
-                            if let Some(h) = hub {
-                                h.on_record(
-                                    arrival,
-                                    i as u64,
-                                    &TraceEvent::Admitted { arrival_s: arrival },
-                                );
-                                h.set_gauge(
-                                    "pit_hub_admission_queue_depth",
-                                    admission.len() as f64,
-                                );
-                            }
-                        }
-                        Err(TryPushError::Full) => {
-                            metrics.record_rejected();
-                            if let Some(w) = windows.as_mut() {
-                                w.rejected(arrival);
-                            }
-                            if let Some(h) = hub {
-                                h.on_record(arrival, i as u64, &TraceEvent::Rejected);
-                            }
-                        }
-                        Err(TryPushError::ClosedQueue) => break,
-                    },
                 }
             }
             windows

@@ -1,7 +1,7 @@
 //! Online drift detection: windowed sketches against a committed
 //! baseline.
 //!
-//! The [`LatencySketch`]'s bucket-wise merge is associative, so
+//! The [`crate::LatencySketch`]'s bucket-wise merge is associative, so
 //! per-window sketches compose into any coarser window — a
 //! [`DriftDetector`] exploits exactly that: it folds observations into
 //! fixed windows, merges them on demand, and compares the merged
@@ -12,8 +12,8 @@
 //! regression alarm without any new per-request state.
 
 use crate::blame::{blame_spans, BlameAggregate, BlameSummary};
-use crate::sink::{TraceEvent, TraceRecord, RESERVED_LANES};
-use crate::sketch::LatencySketch;
+use crate::lifecycle::{latency_samples, LatencySample, LatencySketches};
+use crate::sink::TraceRecord;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -99,56 +99,12 @@ impl Default for DriftPolicy {
     }
 }
 
-/// Replays a record stream into per-request TTFT / ITL / e2e samples —
-/// the same lifecycle convention `SloMonitor::observe` uses (first
-/// token closes TTFT, later token gaps are ITLs, `Finished` closes
-/// e2e).
-fn fold_latencies(
-    records: &[TraceRecord],
-    ttft: &mut LatencySketch,
-    itl: &mut LatencySketch,
-    e2e: &mut LatencySketch,
-) {
-    let mut lanes: BTreeMap<u64, (f64, Option<f64>)> = BTreeMap::new();
-    for r in records {
-        if r.lane >= RESERVED_LANES {
-            continue;
-        }
-        let entry = lanes.entry(r.lane).or_insert_with(|| {
-            let arrival = match r.event {
-                TraceEvent::Admitted { arrival_s } => arrival_s,
-                TraceEvent::Waiting { since_s, .. } => since_s,
-                _ => r.t_s,
-            };
-            (arrival, None)
-        });
-        if let TraceEvent::Admitted { arrival_s } = r.event {
-            entry.0 = entry.0.min(arrival_s);
-        }
-        match r.event {
-            TraceEvent::FirstToken | TraceEvent::DecodeStep { .. } => {
-                match entry.1 {
-                    None => ttft.record(r.t_s - entry.0),
-                    Some(prev) => itl.record((r.t_s - prev).max(0.0)),
-                }
-                entry.1 = Some(r.t_s);
-            }
-            TraceEvent::Finished => e2e.record(r.t_s - entry.0),
-            _ => {}
-        }
-    }
-}
-
 /// A committed reference distribution: latency sketches plus the blame
 /// cause mix of a known-good run.
 #[derive(Debug, Clone)]
 pub struct DriftBaseline {
-    /// TTFT distribution of the baseline run.
-    pub ttft: LatencySketch,
-    /// Inter-token-latency distribution.
-    pub itl: LatencySketch,
-    /// End-to-end distribution.
-    pub e2e: LatencySketch,
+    /// TTFT / ITL / e2e distributions of the baseline run.
+    pub latency: LatencySketches,
     /// `(cause name, e2e share)` of the baseline's blame summary.
     pub cause_share: Vec<(String, f64)>,
 }
@@ -156,10 +112,6 @@ pub struct DriftBaseline {
 impl DriftBaseline {
     /// Captures a baseline from a known-good run's sorted records.
     pub fn from_records(records: &[TraceRecord]) -> Self {
-        let mut ttft = LatencySketch::new();
-        let mut itl = LatencySketch::new();
-        let mut e2e = LatencySketch::new();
-        fold_latencies(records, &mut ttft, &mut itl, &mut e2e);
         let mut agg = BlameAggregate::new();
         agg.fold_spans(&blame_spans(records));
         let cause_share = agg
@@ -169,28 +121,8 @@ impl DriftBaseline {
             .map(|c| (c.cause.clone(), c.e2e_share))
             .collect();
         DriftBaseline {
-            ttft,
-            itl,
-            e2e,
+            latency: LatencySketches::from_records(records),
             cause_share,
-        }
-    }
-}
-
-/// One window's worth of observation sketches.
-#[derive(Debug, Clone)]
-struct WindowSketches {
-    ttft: LatencySketch,
-    itl: LatencySketch,
-    e2e: LatencySketch,
-}
-
-impl WindowSketches {
-    fn new() -> Self {
-        WindowSketches {
-            ttft: LatencySketch::new(),
-            itl: LatencySketch::new(),
-            e2e: LatencySketch::new(),
         }
     }
 }
@@ -202,7 +134,7 @@ pub struct DriftDetector {
     baseline: DriftBaseline,
     policy: DriftPolicy,
     window_s: f64,
-    windows: Vec<WindowSketches>,
+    windows: Vec<LatencySketches>,
     observed_mix: Vec<(String, f64)>,
 }
 
@@ -223,65 +155,31 @@ impl DriftDetector {
         }
     }
 
-    /// Folds a sorted record stream into the detector's windows (by
-    /// each sample's completion time) and refreshes the observed cause
-    /// mix from the stream's blame reduction.
+    /// Folds a sorted record stream into the detector's windows (each
+    /// sample by the time it completed, as the live feed does) and
+    /// refreshes the observed cause mix from the stream's blame
+    /// reduction.
     pub fn observe(&mut self, records: &[TraceRecord]) {
-        // Window per sample completion: replay per window slice so each
-        // window's sketch only sees its own samples. Requests are
-        // assigned by their *arrival* window — windows then compose
-        // associatively regardless of where a lifecycle ends.
-        let mut by_window: BTreeMap<usize, Vec<TraceRecord>> = BTreeMap::new();
-        let mut lane_window: BTreeMap<u64, usize> = BTreeMap::new();
-        for r in records {
-            if r.lane >= RESERVED_LANES {
-                continue;
-            }
-            let w = *lane_window.entry(r.lane).or_insert_with(|| {
-                let arrival = match r.event {
-                    TraceEvent::Admitted { arrival_s } => arrival_s,
-                    TraceEvent::Waiting { since_s, .. } => since_s,
-                    _ => r.t_s,
-                };
-                (arrival / self.window_s).floor().max(0.0) as usize
-            });
-            by_window.entry(w).or_default().push(r.clone());
-        }
-        for (w, recs) in by_window {
-            while self.windows.len() <= w {
-                self.windows.push(WindowSketches::new());
-            }
-            let win = &mut self.windows[w];
-            fold_latencies(&recs, &mut win.ttft, &mut win.itl, &mut win.e2e);
+        for (t_s, sample) in latency_samples(records) {
+            self.record(t_s, sample);
         }
         let mut agg = BlameAggregate::new();
         agg.fold_spans(&blame_spans(records));
         self.observe_blame(&agg.summary());
     }
 
-    /// Records one time-to-first-token observation into the window at
-    /// `t_s` — the incremental feed the live [`crate::MetricsHub`] uses.
-    /// Merge associativity makes `alarms()` indifferent to which window
-    /// a sample lands in, so the incremental and batch (`observe`) paths
-    /// agree on the merged comparison.
-    pub fn record_ttft(&mut self, t_s: f64, v_s: f64) {
-        self.window_at(t_s).ttft.record(v_s);
+    /// Records one latency sample into the window at `t_s` — the
+    /// incremental feed the live [`crate::MetricsHub`] uses. Merge
+    /// associativity makes `alarms()` indifferent to which window a
+    /// sample lands in.
+    pub fn record(&mut self, t_s: f64, sample: LatencySample) {
+        self.window_at(t_s).record(sample);
     }
 
-    /// Records one inter-token-latency observation at `t_s`.
-    pub fn record_itl(&mut self, t_s: f64, v_s: f64) {
-        self.window_at(t_s).itl.record(v_s);
-    }
-
-    /// Records one end-to-end completion observation at `t_s`.
-    pub fn record_e2e(&mut self, t_s: f64, v_s: f64) {
-        self.window_at(t_s).e2e.record(v_s);
-    }
-
-    fn window_at(&mut self, t_s: f64) -> &mut WindowSketches {
+    fn window_at(&mut self, t_s: f64) -> &mut LatencySketches {
         let idx = (t_s.max(0.0) / self.window_s) as usize;
-        while self.windows.len() <= idx {
-            self.windows.push(WindowSketches::new());
+        if self.windows.len() <= idx {
+            self.windows.resize_with(idx + 1, LatencySketches::default);
         }
         &mut self.windows[idx]
     }
@@ -301,19 +199,15 @@ impl DriftDetector {
         self.windows.len()
     }
 
-    /// Merges every window's sketches into one `(ttft, itl, e2e)`
-    /// triple — bucket-wise, so the result is identical to having
-    /// folded all samples into a single sketch (merge associativity).
-    pub fn merged(&self) -> (LatencySketch, LatencySketch, LatencySketch) {
-        let mut ttft = LatencySketch::new();
-        let mut itl = LatencySketch::new();
-        let mut e2e = LatencySketch::new();
+    /// Merges every window's sketches — bucket-wise, so the result is
+    /// identical to having folded all samples into a single triple
+    /// (merge associativity).
+    pub fn merged(&self) -> LatencySketches {
+        let mut all = LatencySketches::default();
         for w in &self.windows {
-            ttft.merge(&w.ttft);
-            itl.merge(&w.itl);
-            e2e.merge(&w.e2e);
+            all.merge(w);
         }
-        (ttft, itl, e2e)
+        all
     }
 
     /// Compares merged observations against the baseline; returned
@@ -321,11 +215,12 @@ impl DriftDetector {
     /// causes by name).
     pub fn alarms(&self) -> Vec<DriftAlarm> {
         let mut alarms = Vec::new();
-        let (ttft, itl, e2e) = self.merged();
+        let obs = self.merged();
+        let base = &self.baseline.latency;
         for (name, base, obs) in [
-            ("ttft", &self.baseline.ttft, &ttft),
-            ("itl", &self.baseline.itl, &itl),
-            ("e2e", &self.baseline.e2e, &e2e),
+            ("ttft", &base.ttft, &obs.ttft),
+            ("itl", &base.itl, &obs.itl),
+            ("e2e", &base.e2e, &obs.e2e),
         ] {
             if obs.count() < self.policy.min_count || base.count() == 0 {
                 continue;
@@ -381,7 +276,7 @@ impl DriftDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::TraceSink;
+    use crate::sink::{TraceEvent, TraceSink};
 
     /// `n` requests, one per second, each with the given ttft and one
     /// decode gap.
@@ -409,7 +304,7 @@ mod tests {
         let base = DriftBaseline::from_records(&run(30, 0.2, 0.05));
         let mut det = DriftDetector::new(base, DriftPolicy::default(), 10.0);
         det.observe(&run(30, 0.2, 0.05));
-        assert!(det.window_count() >= 3, "arrivals span several windows");
+        assert!(det.window_count() >= 3, "completions span several windows");
         assert_eq!(det.alarms(), Vec::new());
     }
 
@@ -440,15 +335,12 @@ mod tests {
         );
         det.observe(&records);
         assert!(det.window_count() >= 4);
-        let (ttft, _, e2e) = det.merged();
-        let mut whole_ttft = LatencySketch::new();
-        let mut whole_itl = LatencySketch::new();
-        let mut whole_e2e = LatencySketch::new();
-        fold_latencies(&records, &mut whole_ttft, &mut whole_itl, &mut whole_e2e);
-        assert_eq!(ttft.count(), whole_ttft.count());
+        let merged = det.merged();
+        let whole = LatencySketches::from_records(&records);
+        assert_eq!(merged.ttft.count(), whole.ttft.count());
         for q in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(ttft.quantile(q), whole_ttft.quantile(q));
-            assert_eq!(e2e.quantile(q), whole_e2e.quantile(q));
+            assert_eq!(merged.ttft.quantile(q), whole.ttft.quantile(q));
+            assert_eq!(merged.e2e.quantile(q), whole.e2e.quantile(q));
         }
     }
 

@@ -16,7 +16,8 @@
 //! asc)`, so two replays of the same trace capture byte-identical
 //! exemplar sets — the property `tests/blame_invariants.rs` pins.
 
-use crate::sink::{TraceEvent, TraceRecord};
+use crate::lifecycle::{LaneFold, LatencySample};
+use crate::sink::TraceRecord;
 
 /// One captured request lifecycle: the lane, the metric value that
 /// ranked it, and every event the request emitted.
@@ -118,49 +119,36 @@ impl ExemplarReservoir {
 
     /// Offers one request's complete timeline. Only lifecycles closed by
     /// `Finished` rank (an unfinished lane's end is an artifact of where
-    /// the replay stopped); the metrics are computed from the records
-    /// themselves, so the reservoir needs no side channel.
+    /// the replay stopped); the metrics are the records' own lifecycle
+    /// fold samples ([`crate::LifecycleFold`]'s per-lane convention), so
+    /// the reservoir needs no side channel.
     pub fn offer(&mut self, lane: u64, records: &[TraceRecord]) {
-        if self.k == 0 || records.is_empty() {
+        if self.k == 0 {
             return;
         }
-        let first = &records[0];
-        let arrival = match first.event {
-            TraceEvent::Admitted { arrival_s } => arrival_s,
-            TraceEvent::Waiting { since_s, .. } => since_s,
-            _ => first.t_s,
+        let Some(first) = records.first() else {
+            return;
         };
-        let mut finished = false;
-        let mut first_token: Option<f64> = None;
-        let mut last_token: Option<f64> = None;
-        let mut max_itl = 0.0_f64;
-        let mut end = arrival;
+        let mut fold = LaneFold::open(first.t_s, &first.event);
+        let (mut ttft, mut max_itl, mut e2e) = (None, 0.0_f64, None);
         for r in records {
-            match r.event {
-                TraceEvent::FirstToken | TraceEvent::DecodeStep { .. } => {
-                    if first_token.is_none() {
-                        first_token = Some(r.t_s);
-                    }
-                    if let Some(prev) = last_token {
-                        max_itl = max_itl.max(r.t_s - prev);
-                    }
-                    last_token = Some(r.t_s);
-                }
-                TraceEvent::Finished => finished = true,
+            match fold.observe(r.t_s, &r.event) {
+                Some(LatencySample::Ttft(v)) => ttft = Some(v),
+                Some(LatencySample::Itl(v)) => max_itl = max_itl.max(v),
+                Some(LatencySample::E2e(v)) => e2e = Some(v),
                 _ => {}
             }
-            end = end.max(r.t_s);
         }
-        if !finished {
+        let Some(e2e) = e2e else {
             return;
-        }
-        if let Some(ft) = first_token {
-            insert_topk(&mut self.ttft, self.k, lane, ft - arrival, records);
+        };
+        if let Some(v) = ttft {
+            insert_topk(&mut self.ttft, self.k, lane, v, records);
         }
         if max_itl > 0.0 {
             insert_topk(&mut self.itl, self.k, lane, max_itl, records);
         }
-        insert_topk(&mut self.e2e, self.k, lane, end - arrival, records);
+        insert_topk(&mut self.e2e, self.k, lane, e2e, records);
     }
 
     /// Freezes the reservoir into its final set.
@@ -177,6 +165,7 @@ impl ExemplarReservoir {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::TraceEvent;
 
     fn timeline(lane: u64, arrival: f64, ttft: f64, steps: &[f64]) -> Vec<TraceRecord> {
         let mut ord = 0;

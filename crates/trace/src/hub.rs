@@ -32,8 +32,8 @@
 use crate::drift::{DriftAlarm, DriftBaseline, DriftDetector, DriftPolicy};
 use crate::expo::{Exposition, MetricKind, Sample};
 use crate::ledger::{DeviceLedger, StepSample};
+use crate::lifecycle::{LatencySample, LatencySketches, LifecycleFold};
 use crate::sink::{TraceEvent, RESERVED_LANES};
-use crate::sketch::LatencySketch;
 use crate::slo::{SloMonitor, SloReport, SloTarget};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
@@ -133,9 +133,7 @@ pub struct HubSeries {
 #[derive(Debug, Clone)]
 struct HubWindow {
     index: u64,
-    ttft: LatencySketch,
-    itl: LatencySketch,
-    e2e: LatencySketch,
+    latency: LatencySketches,
     steps: u64,
     gpu_s: f64,
     prefill_tokens: u64,
@@ -154,9 +152,7 @@ impl HubWindow {
     fn new(index: u64) -> Self {
         HubWindow {
             index,
-            ttft: LatencySketch::new(),
-            itl: LatencySketch::new(),
-            e2e: LatencySketch::new(),
+            latency: LatencySketches::default(),
             steps: 0,
             gpu_s: 0.0,
             prefill_tokens: 0,
@@ -182,8 +178,8 @@ impl HubWindow {
                         ok as f64 / total as f64
                     }
                 };
-                let worst =
-                    att(self.ttft_ok, self.ttft.count()).min(att(self.itl_ok, self.itl.count()));
+                let worst = att(self.ttft_ok, self.latency.ttft.count())
+                    .min(att(self.itl_ok, self.latency.itl.count()));
                 (1.0 - worst) / (1.0 - t.objective)
             })
             .unwrap_or(0.0);
@@ -199,13 +195,13 @@ impl HubWindow {
             finished: self.finished,
             preemptions: self.preemptions,
             kv_occupancy_peak: self.kv_occupancy_peak,
-            ttft_count: self.ttft.count(),
-            ttft_p50_s: self.ttft.quantile(0.50),
-            ttft_p95_s: self.ttft.quantile(0.95),
-            itl_count: self.itl.count(),
-            itl_p50_s: self.itl.quantile(0.50),
-            itl_p95_s: self.itl.quantile(0.95),
-            e2e_p50_s: self.e2e.quantile(0.50),
+            ttft_count: self.latency.ttft.count(),
+            ttft_p50_s: self.latency.ttft.quantile(0.50),
+            ttft_p95_s: self.latency.ttft.quantile(0.95),
+            itl_count: self.latency.itl.count(),
+            itl_p50_s: self.latency.itl.quantile(0.50),
+            itl_p95_s: self.latency.itl.quantile(0.95),
+            e2e_p50_s: self.latency.e2e.quantile(0.50),
             burn_rate,
             waits_s: self.waits_s.clone(),
         }
@@ -218,13 +214,10 @@ impl HubWindow {
 /// fire far more often, live in the shards instead).
 #[derive(Debug)]
 struct HubState {
-    /// Per-lane lifecycle fold: (arrival, last token time) — the same
-    /// convention `SloMonitor::observe` replays post hoc.
-    lanes: BTreeMap<u64, (f64, Option<f64>)>,
+    /// The shared lifecycle fold turning published events into samples.
+    fold: LifecycleFold,
     /// Whole-run latency sketches (the `/metrics` summaries).
-    ttft: LatencySketch,
-    itl: LatencySketch,
-    e2e: LatencySketch,
+    latency: LatencySketches,
     /// Window ring, oldest first, consecutive indices.
     ring: VecDeque<HubWindow>,
     dropped_windows: u64,
@@ -284,10 +277,8 @@ impl MetricsHub {
             counters: Default::default(),
             gauges: Mutex::new(BTreeMap::new()),
             state: Mutex::new(HubState {
-                lanes: BTreeMap::new(),
-                ttft: LatencySketch::new(),
-                itl: LatencySketch::new(),
-                e2e: LatencySketch::new(),
+                fold: LifecycleFold::new(),
+                latency: LatencySketches::default(),
                 ring: VecDeque::new(),
                 dropped_windows: 0,
                 slo,
@@ -336,8 +327,8 @@ impl MetricsHub {
     }
 
     /// Publishes one lifecycle event at publisher-clock `t_s` on `lane`.
-    /// The fold mirrors `SloMonitor::observe`'s replay convention, so a
-    /// live hub and a post-hoc monitor agree on every observation.
+    /// Latencies come from the shared [`LifecycleFold`], so a live hub
+    /// and a post-hoc `SloMonitor::observe` agree on every observation.
     pub fn on_record(&self, t_s: f64, lane: u64, event: &TraceEvent) {
         match *event {
             TraceEvent::Step {
@@ -349,16 +340,9 @@ impl MetricsHub {
                 self.add("pit_hub_gpu_seconds_total", gpu_s);
                 self.add("pit_hub_prefill_tokens_total", prefill_rows as f64);
                 self.add("pit_hub_decode_tokens_total", decode_slots as f64);
-                let mut st = self.state.lock().expect("hub state");
-                st.now_s = st.now_s.max(t_s);
-                let w = Self::window_mut(&mut st, t_s, self.window_s, self.ring_capacity);
-                w.steps += 1;
-                w.gpu_s += gpu_s;
-                w.prefill_tokens += prefill_rows as u64;
-                w.decode_tokens += decode_slots as u64;
-                self.roll_alarms(&mut st);
-                return;
             }
+            // Transfers are stamped at their landing, which may lie ahead
+            // of the publisher's clock: count them, leave the clock alone.
             TraceEvent::SwapOut { pages, .. } => {
                 self.add("pit_hub_swap_out_pages_total", pages as f64);
                 return;
@@ -367,125 +351,57 @@ impl MetricsHub {
                 self.add("pit_hub_swap_in_pages_total", pages as f64);
                 return;
             }
-            _ => {}
-        }
-        if lane >= RESERVED_LANES {
-            return;
-        }
-        match *event {
-            TraceEvent::Admitted { arrival_s } => {
-                self.add("pit_hub_admitted_total", 1.0);
-                let mut st = self.state.lock().expect("hub state");
-                st.now_s = st.now_s.max(t_s);
-                let e = st.lanes.entry(lane).or_insert((arrival_s, None));
-                e.0 = e.0.min(arrival_s);
-                let w = Self::window_mut(&mut st, t_s, self.window_s, self.ring_capacity);
-                w.admitted += 1;
-                self.roll_alarms(&mut st);
-            }
-            TraceEvent::Rejected => {
-                self.add("pit_hub_rejected_total", 1.0);
-                let mut st = self.state.lock().expect("hub state");
-                st.now_s = st.now_s.max(t_s);
-                if let Some(m) = st.slo.as_mut() {
-                    m.record_rejection(t_s);
-                }
-                let w = Self::window_mut(&mut st, t_s, self.window_s, self.ring_capacity);
-                w.rejected += 1;
-                self.roll_alarms(&mut st);
-            }
-            TraceEvent::FirstToken => {
-                let mut st = self.state.lock().expect("hub state");
-                st.now_s = st.now_s.max(t_s);
-                let (arrival, last) = *st.lanes.entry(lane).or_insert((t_s, None));
-                match last {
-                    // Re-admission after preemption: the request already
-                    // produced tokens, so the gap is an ITL.
-                    Some(prev) => Self::observe_itl_locked(self, &mut st, t_s, t_s - prev),
-                    None => Self::observe_ttft_locked(self, &mut st, t_s, t_s - arrival),
-                }
-                st.lanes.get_mut(&lane).expect("inserted above").1 = Some(t_s);
-                self.roll_alarms(&mut st);
-            }
-            TraceEvent::DecodeStep { .. } => {
-                let mut st = self.state.lock().expect("hub state");
-                st.now_s = st.now_s.max(t_s);
-                if let Some((_, last)) = st.lanes.get_mut(&lane) {
-                    if let Some(prev) = *last {
-                        *last = Some(t_s);
-                        Self::observe_itl_locked(self, &mut st, t_s, t_s - prev);
-                    } else {
-                        *last = Some(t_s);
-                    }
-                }
-                self.roll_alarms(&mut st);
-            }
-            TraceEvent::Finished => {
-                self.add("pit_hub_finished_total", 1.0);
-                let mut st = self.state.lock().expect("hub state");
-                st.now_s = st.now_s.max(t_s);
-                if let Some((arrival, _)) = st.lanes.remove(&lane) {
-                    Self::observe_e2e_locked(self, &mut st, t_s, t_s - arrival);
-                }
-                let w = Self::window_mut(&mut st, t_s, self.window_s, self.ring_capacity);
-                w.finished += 1;
-                self.roll_alarms(&mut st);
-            }
-            TraceEvent::Preempted { .. } => {
-                self.add("pit_hub_preemptions_total", 1.0);
-                let mut st = self.state.lock().expect("hub state");
-                st.now_s = st.now_s.max(t_s);
-                let w = Self::window_mut(&mut st, t_s, self.window_s, self.ring_capacity);
-                w.preemptions += 1;
-            }
-            TraceEvent::Waiting { cause, since_s } => {
-                let wait_s = (t_s - since_s).max(0.0);
-                let mut st = self.state.lock().expect("hub state");
-                st.now_s = st.now_s.max(t_s);
-                let w = Self::window_mut(&mut st, t_s, self.window_s, self.ring_capacity);
-                *w.waits_s.entry(cause.name().to_string()).or_default() += wait_s;
-                drop(st);
-                self.add_labelled("pit_hub_wait_seconds_total", cause.name(), wait_s);
-            }
+            _ if lane >= RESERVED_LANES => return,
             TraceEvent::PrefillChunk { tokens } => {
-                self.add("pit_hub_prefill_chunk_tokens_total", tokens as f64);
+                self.add("pit_hub_prefill_chunk_tokens_total", tokens as f64)
             }
             TraceEvent::PrefixHit { tokens, .. } => {
-                self.add("pit_hub_prefix_hit_tokens_total", tokens as f64);
+                self.add("pit_hub_prefix_hit_tokens_total", tokens as f64)
             }
             TraceEvent::SparsityEvict { pages } => {
-                self.add("pit_hub_sparsity_evicted_pages_total", pages as f64);
+                self.add("pit_hub_sparsity_evicted_pages_total", pages as f64)
             }
-            TraceEvent::Step { .. } | TraceEvent::SwapOut { .. } | TraceEvent::SwapIn { .. } => {
-                unreachable!("handled above")
-            }
+            TraceEvent::Admitted { .. } => self.add("pit_hub_admitted_total", 1.0),
+            TraceEvent::Rejected => self.add("pit_hub_rejected_total", 1.0),
+            TraceEvent::Finished => self.add("pit_hub_finished_total", 1.0),
+            TraceEvent::Preempted { .. } => self.add("pit_hub_preemptions_total", 1.0),
+            TraceEvent::Waiting { cause, since_s } => self.add_labelled(
+                "pit_hub_wait_seconds_total",
+                cause.name(),
+                (t_s - since_s).max(0.0),
+            ),
+            TraceEvent::FirstToken | TraceEvent::DecodeStep { .. } => {}
         }
-    }
-
-    /// Records one time-to-first-token observation directly (for loops
-    /// that do not emit lifecycle events, e.g. the batch runtime).
-    pub fn observe_ttft(&self, t_s: f64, v_s: f64) {
         let mut st = self.state.lock().expect("hub state");
         st.now_s = st.now_s.max(t_s);
-        Self::observe_ttft_locked(self, &mut st, t_s, v_s);
-        self.roll_alarms(&mut st);
-    }
-
-    /// Records one inter-token-latency observation directly.
-    pub fn observe_itl(&self, t_s: f64, v_s: f64) {
-        let mut st = self.state.lock().expect("hub state");
-        st.now_s = st.now_s.max(t_s);
-        Self::observe_itl_locked(self, &mut st, t_s, v_s);
-        self.roll_alarms(&mut st);
-    }
-
-    /// Records one end-to-end completion observation directly.
-    pub fn observe_e2e(&self, t_s: f64, v_s: f64) {
-        let mut st = self.state.lock().expect("hub state");
-        st.now_s = st.now_s.max(t_s);
-        Self::observe_e2e_locked(self, &mut st, t_s, v_s);
-        let w = Self::window_mut(&mut st, t_s, self.window_s, self.ring_capacity);
-        w.finished += 1;
+        match *event {
+            TraceEvent::Step {
+                prefill_rows,
+                decode_slots,
+                gpu_s,
+            } => {
+                let w = self.window_mut(&mut st, t_s);
+                w.steps += 1;
+                w.gpu_s += gpu_s;
+                w.prefill_tokens += prefill_rows as u64;
+                w.decode_tokens += decode_slots as u64;
+            }
+            TraceEvent::Admitted { .. } => self.window_mut(&mut st, t_s).admitted += 1,
+            TraceEvent::Rejected => self.window_mut(&mut st, t_s).rejected += 1,
+            TraceEvent::Finished => self.window_mut(&mut st, t_s).finished += 1,
+            TraceEvent::Preempted { .. } => self.window_mut(&mut st, t_s).preemptions += 1,
+            TraceEvent::Waiting { cause, since_s } => {
+                *self
+                    .window_mut(&mut st, t_s)
+                    .waits_s
+                    .entry(cause.name().to_string())
+                    .or_default() += (t_s - since_s).max(0.0)
+            }
+            _ => {}
+        }
+        if let Some(sample) = st.fold.observe(t_s, lane, event) {
+            self.observe_locked(&mut st, t_s, sample);
+        }
         self.roll_alarms(&mut st);
     }
 
@@ -519,7 +435,7 @@ impl MetricsHub {
         st.kv_occupancy = occupancy;
         st.kv_occupancy_peak = st.kv_occupancy_peak.max(occupancy);
         let t_s = st.now_s;
-        let w = Self::window_mut(&mut st, t_s, self.window_s, self.ring_capacity);
+        let w = self.window_mut(&mut st, t_s);
         w.kv_occupancy_peak = w.kv_occupancy_peak.max(occupancy);
     }
 
@@ -534,55 +450,32 @@ impl MetricsHub {
         }
     }
 
-    fn observe_ttft_locked(&self, st: &mut HubState, t_s: f64, v_s: f64) {
-        st.ttft.record(v_s);
+    /// Feeds one folded sample to the whole-run sketches, the SLO
+    /// monitor, the drift detector and the sample's window.
+    fn observe_locked(&self, st: &mut HubState, t_s: f64, sample: LatencySample) {
+        st.latency.record(sample);
         if let Some(m) = st.slo.as_mut() {
-            m.record_ttft(t_s, v_s);
+            m.record(t_s, sample);
         }
         if let Some(d) = st.drift.as_mut() {
-            d.record_ttft(t_s, v_s);
+            d.record(t_s, sample);
         }
-        let ok = self.slo_target.is_some_and(|t| v_s <= t.ttft_s);
-        let w = Self::window_mut(st, t_s, self.window_s, self.ring_capacity);
-        w.ttft.record(v_s);
-        w.ttft_ok += u64::from(ok);
-    }
-
-    fn observe_itl_locked(&self, st: &mut HubState, t_s: f64, v_s: f64) {
-        let v_s = v_s.max(0.0);
-        st.itl.record(v_s);
-        if let Some(m) = st.slo.as_mut() {
-            m.record_itl(t_s, v_s);
+        let target = self.slo_target;
+        let w = self.window_mut(st, t_s);
+        w.latency.record(sample);
+        match sample {
+            LatencySample::Ttft(v) => w.ttft_ok += u64::from(target.is_some_and(|t| v <= t.ttft_s)),
+            LatencySample::Itl(v) => w.itl_ok += u64::from(target.is_some_and(|t| v <= t.itl_s)),
+            LatencySample::E2e(_) | LatencySample::Rejected => {}
         }
-        if let Some(d) = st.drift.as_mut() {
-            d.record_itl(t_s, v_s);
-        }
-        let ok = self.slo_target.is_some_and(|t| v_s <= t.itl_s);
-        let w = Self::window_mut(st, t_s, self.window_s, self.ring_capacity);
-        w.itl.record(v_s);
-        w.itl_ok += u64::from(ok);
-    }
-
-    fn observe_e2e_locked(&self, st: &mut HubState, t_s: f64, v_s: f64) {
-        st.e2e.record(v_s);
-        if let Some(d) = st.drift.as_mut() {
-            d.record_e2e(t_s, v_s);
-        }
-        let w = Self::window_mut(st, t_s, self.window_s, self.ring_capacity);
-        w.e2e.record(v_s);
     }
 
     /// The window holding `t_s`, growing the ring forward (and evicting
     /// the oldest windows past capacity) as the clock advances.
     /// Straggler timestamps older than the ring land in the oldest
     /// retained window rather than being dropped.
-    fn window_mut(
-        st: &mut HubState,
-        t_s: f64,
-        window_s: f64,
-        ring_capacity: usize,
-    ) -> &mut HubWindow {
-        let idx = (t_s.max(0.0) / window_s) as u64;
+    fn window_mut<'s>(&self, st: &'s mut HubState, t_s: f64) -> &'s mut HubWindow {
+        let idx = (t_s.max(0.0) / self.window_s) as u64;
         if st.ring.is_empty() {
             st.ring.push_back(HubWindow::new(idx));
         }
@@ -590,7 +483,7 @@ impl MetricsHub {
         if idx > hi {
             for i in (hi + 1)..=idx {
                 st.ring.push_back(HubWindow::new(i));
-                while st.ring.len() > ring_capacity {
+                while st.ring.len() > self.ring_capacity {
                     st.ring.pop_front();
                     st.dropped_windows += 1;
                 }
@@ -729,13 +622,17 @@ impl MetricsHub {
             (
                 "pit_hub_ttft_seconds",
                 "Live time-to-first-token (sketch-backed quantiles)",
-                &st.ttft,
+                &st.latency.ttft,
             ),
-            ("pit_hub_itl_seconds", "Live inter-token latency", &st.itl),
+            (
+                "pit_hub_itl_seconds",
+                "Live inter-token latency",
+                &st.latency.itl,
+            ),
             (
                 "pit_hub_e2e_seconds",
                 "Live end-to-end request latency",
-                &st.e2e,
+                &st.latency.e2e,
             ),
         ] {
             out.summary(name, help, sketch, &[0.50, 0.90, 0.95, 0.99]);

@@ -30,6 +30,9 @@
 //! - [`Exposition`] / [`parse_exposition`] — Prometheus-style text
 //!   exposition writer (counters, gauges, sketch-backed summaries) and
 //!   the line-format parser that round-trips it;
+//! - [`LifecycleFold`] / [`latency_samples`] — the one definition of
+//!   how lifecycle events become TTFT / ITL / e2e / rejection samples,
+//!   shared by every consumer below;
 //! - [`SloMonitor`] — windowed TTFT/ITL SLO attainment and burn-rate
 //!   gauges folded from latency observations, the admission window
 //!   series and the ledger;
@@ -62,6 +65,7 @@ pub mod http;
 pub mod hub;
 pub mod json;
 mod ledger;
+mod lifecycle;
 mod sink;
 mod sketch;
 mod slo;
@@ -80,6 +84,7 @@ pub use http::{ScrapeServer, ShutdownHandle};
 pub use hub::{HubConfig, HubSeries, HubSeriesWindow, MetricsHub, COUNTER_SHARDS};
 pub use json::JsonValue;
 pub use ledger::{DeviceLedger, StepSample, Utilization};
+pub use lifecycle::{latency_samples, LatencySample, LatencySketches, LifecycleFold};
 pub use sink::{
     TraceEvent, TraceRecord, TraceSink, DEVICE_LANE, LINK_D2H_LANE, LINK_H2D_LANE, RESERVED_LANES,
 };

@@ -20,9 +20,9 @@
 
 use crate::drift::DriftAlarm;
 use crate::ledger::DeviceLedger;
-use crate::sink::{TraceEvent, TraceRecord, RESERVED_LANES};
+use crate::lifecycle::{latency_samples, LatencySample};
+use crate::sink::TraceRecord;
 use crate::windows::WindowStat;
-use std::collections::BTreeMap;
 
 /// The service-level targets a run is held to.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
@@ -137,71 +137,32 @@ impl SloMonitor {
         &mut self.windows[idx]
     }
 
-    /// Records one time-to-first-token observation at time `t_s`.
-    pub fn record_ttft(&mut self, t_s: f64, ttft_s: f64) {
-        let target = self.target.ttft_s;
+    /// Records one latency sample completed at `t_s`: TTFTs and ITLs
+    /// against their targets, a rejection as a TTFT miss (the request
+    /// never got a first token); end-to-end samples have no target.
+    pub fn record(&mut self, t_s: f64, sample: LatencySample) {
+        let SloTarget { ttft_s, itl_s, .. } = self.target;
         let w = self.window_at(t_s);
-        w.ttft_total += 1;
-        w.ttft_ok += u64::from(ttft_s <= target);
+        match sample {
+            LatencySample::Ttft(v) => {
+                w.ttft_total += 1;
+                w.ttft_ok += u64::from(v <= ttft_s);
+            }
+            LatencySample::Itl(v) => {
+                w.itl_total += 1;
+                w.itl_ok += u64::from(v <= itl_s);
+            }
+            LatencySample::Rejected => w.ttft_total += 1,
+            LatencySample::E2e(_) => {}
+        }
     }
 
-    /// Records one inter-token-latency observation at time `t_s`.
-    pub fn record_itl(&mut self, t_s: f64, itl_s: f64) {
-        let target = self.target.itl_s;
-        let w = self.window_at(t_s);
-        w.itl_total += 1;
-        w.itl_ok += u64::from(itl_s <= target);
-    }
-
-    /// Records a rejected admission: a TTFT miss (the request never got a
-    /// first token).
-    pub fn record_rejection(&mut self, t_s: f64) {
-        self.window_at(t_s).ttft_total += 1;
-    }
-
-    /// Replays a drained trace-sink stream: `FirstToken` yields a TTFT
-    /// observation against the earliest `Admitted` arrival on the lane,
-    /// `DecodeStep` gaps and re-admission first tokens yield ITL
-    /// observations, and `Rejected` lanes count as TTFT misses — the same
-    /// attribution the serving metrics use.
+    /// Replays a drained trace-sink stream through the
+    /// [`crate::LifecycleFold`] — the same samples the live hub and the
+    /// drift detector see.
     pub fn observe(&mut self, records: &[TraceRecord]) {
-        // Per lane: (arrival, time of last emitted token or None).
-        let mut lanes: BTreeMap<u64, (f64, Option<f64>)> = BTreeMap::new();
-        for r in records {
-            if r.lane >= RESERVED_LANES {
-                continue;
-            }
-            match r.event {
-                TraceEvent::Admitted { arrival_s } => {
-                    lanes.entry(r.lane).or_insert((arrival_s, None));
-                }
-                TraceEvent::Rejected => {
-                    self.record_rejection(r.t_s);
-                }
-                TraceEvent::FirstToken => {
-                    let (arrival, last) = *lanes.entry(r.lane).or_insert((r.t_s, None));
-                    match last {
-                        // Re-admission after preemption: the request
-                        // already produced tokens, so the gap is an ITL.
-                        Some(prev) => self.record_itl(r.t_s, r.t_s - prev),
-                        None => self.record_ttft(r.t_s, r.t_s - arrival),
-                    }
-                    lanes.get_mut(&r.lane).expect("inserted above").1 = Some(r.t_s);
-                }
-                TraceEvent::DecodeStep { .. } => {
-                    if let Some((_, last)) = lanes.get_mut(&r.lane) {
-                        if let Some(prev) = *last {
-                            let gap = r.t_s - prev;
-                            let t = r.t_s;
-                            *last = Some(t);
-                            self.record_itl(t, gap);
-                        } else {
-                            *last = Some(r.t_s);
-                        }
-                    }
-                }
-                _ => {}
-            }
+        for (t_s, sample) in latency_samples(records) {
+            self.record(t_s, sample);
         }
     }
 
@@ -210,7 +171,7 @@ impl SloMonitor {
     pub fn fold_windows(&mut self, stats: &[WindowStat]) {
         for w in stats {
             for _ in 0..w.rejected {
-                self.record_rejection(w.start_s);
+                self.record(w.start_s, LatencySample::Rejected);
             }
         }
     }
@@ -265,7 +226,7 @@ impl SloMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::TraceSink;
+    use crate::sink::{TraceEvent, TraceSink};
 
     fn target() -> SloTarget {
         SloTarget {
@@ -280,12 +241,12 @@ mod tests {
         let mut m = SloMonitor::new(target(), 10.0);
         // Window 0: 4 TTFT hits, 1 miss → 80% attainment, burn 2.0.
         for i in 0..4 {
-            m.record_ttft(i as f64, 0.2);
+            m.record(i as f64, LatencySample::Ttft(0.2));
         }
-        m.record_ttft(4.0, 1.5);
+        m.record(4.0, LatencySample::Ttft(1.5));
         // Window 1: all ITL within target.
         for i in 0..10 {
-            m.record_itl(10.5 + i as f64 * 0.1, 0.05);
+            m.record(10.5 + i as f64 * 0.1, LatencySample::Itl(0.05));
         }
         let r = m.report(None);
         assert_eq!(r.windows.len(), 2);
@@ -361,7 +322,7 @@ mod tests {
     #[test]
     fn window_series_and_ledger_join() {
         let mut m = SloMonitor::new(target(), 10.0);
-        m.record_ttft(1.0, 0.1);
+        m.record(1.0, LatencySample::Ttft(0.1));
         m.fold_windows(&[WindowStat {
             start_s: 0.0,
             admitted: 3,

@@ -18,7 +18,7 @@
 use pit::gpusim::DeviceSpec;
 use pit::models::ModelConfig;
 use pit::serve::decode::{
-    simulate_decode_trace, simulate_decode_trace_traced, simulate_decode_trace_with_exemplars,
+    simulate_decode_trace, simulate_decode_trace_observed, simulate_decode_trace_traced,
     DecodePolicy, DecodeServeConfig, DecodeServeConfigBuilder, KvSparsityPolicy, PreemptPolicy,
 };
 use pit::trace::{blame_spans, BlameBreakdown, TraceSink};
@@ -219,9 +219,9 @@ fn exemplar_reservoir_is_deterministic_and_bounded() {
     let k = 3usize;
 
     let sink_a = TraceSink::enabled();
-    let (report_a, ex_a) = simulate_decode_trace_with_exemplars(&cfg, &trace, &sink_a, k);
+    let (report_a, ex_a) = simulate_decode_trace_observed(&cfg, &trace, &sink_a, k, None);
     let sink_b = TraceSink::enabled();
-    let (report_b, ex_b) = simulate_decode_trace_with_exemplars(&cfg, &trace, &sink_b, k);
+    let (report_b, ex_b) = simulate_decode_trace_observed(&cfg, &trace, &sink_b, k, None);
 
     // Bit-deterministic replay: same reports, same exemplars, same
     // captured timelines (record for record).
@@ -259,14 +259,14 @@ fn exemplars_survive_disabled_and_sampled_sinks() {
     let k = 2usize;
 
     let full_sink = TraceSink::enabled();
-    let (full_report, full_ex) = simulate_decode_trace_with_exemplars(&cfg, &trace, &full_sink, k);
+    let (full_report, full_ex) = simulate_decode_trace_observed(&cfg, &trace, &full_sink, k, None);
 
     // The reservoir buffers timelines independently of the sink, so the
     // same exemplars come back when the sink drops records — whether
     // head-sampled (1-in-5 lanes) or fully disabled.
     let sampled_sink = TraceSink::enabled().with_sampling(5);
     let (sampled_report, sampled_ex) =
-        simulate_decode_trace_with_exemplars(&cfg, &trace, &sampled_sink, k);
+        simulate_decode_trace_observed(&cfg, &trace, &sampled_sink, k, None);
     assert_eq!(
         full_ex, sampled_ex,
         "head sampling must not starve exemplars"
@@ -274,7 +274,7 @@ fn exemplars_survive_disabled_and_sampled_sinks() {
 
     let disabled_sink = TraceSink::disabled();
     let (disabled_report, disabled_ex) =
-        simulate_decode_trace_with_exemplars(&cfg, &trace, &disabled_sink, k);
+        simulate_decode_trace_observed(&cfg, &trace, &disabled_sink, k, None);
     assert_eq!(
         full_ex, disabled_ex,
         "a disabled sink must not starve exemplars"
@@ -308,6 +308,6 @@ fn zero_k_disables_the_reservoir() {
     let trace = workload(Scenario::Dense, 16, 7);
     let cfg = config(Scenario::Dense);
     let sink = TraceSink::enabled();
-    let (_, ex) = simulate_decode_trace_with_exemplars(&cfg, &trace, &sink, 0);
+    let (_, ex) = simulate_decode_trace_observed(&cfg, &trace, &sink, 0, None);
     assert!(ex.ttft.is_empty() && ex.itl.is_empty() && ex.e2e.is_empty());
 }

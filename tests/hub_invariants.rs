@@ -3,18 +3,24 @@
 //! replay — the final report is byte-identical with and without the hub,
 //! even while scrapers hammer the endpoint; (2) serve only well-formed
 //! payloads — every `/metrics` body round-trips through
-//! `parse_exposition`, `/slo` and `/series` parse as JSON; and (3) show
+//! `parse_exposition`, `/slo` and `/series` parse as JSON; (3) show
 //! monotone counters — a later scrape never reports a smaller value for
-//! any counter sample.
+//! any counter sample; and (4) agree with the report — the lifecycle
+//! fold over the drained records, the hub and the SLO monitor count
+//! exactly the report's TTFT / ITL / e2e samples.
 
 use pit::gpusim::DeviceSpec;
 use pit::models::ModelConfig;
 use pit::serve::decode::{
     simulate_decode_trace_observed, simulate_decode_trace_traced, DecodePolicy, DecodeServeConfig,
+    KvSparsityPolicy, PreemptPolicy,
 };
-use pit::serve::{serve_trace_arrivals_observed, AdmissionMode, BatchPolicy, ServeConfig};
+use pit::serve::{
+    serve_trace_arrivals_observed, AdmissionMode, BatchPolicy, Percentiles, ServeConfig,
+};
 use pit::trace::{
-    parse_exposition, HubConfig, JsonValue, MetricsHub, ScrapeServer, SloTarget, TraceSink,
+    parse_exposition, Exposition, HubConfig, JsonValue, LatencySketches, MetricsHub, ScrapeServer,
+    SloMonitor, SloTarget, TraceEvent, TraceSink,
 };
 use pit::workloads::{ArrivalTrace, DatasetSpec, DecodeSpec, DecodeTrace};
 use std::collections::BTreeMap;
@@ -232,10 +238,177 @@ fn threaded_runtime_publishes_consistent_hub_totals() {
         "hub token counter agrees with the report"
     );
     assert_eq!(counters.get("pit_hub_rejected_total{}").copied(), None);
+    assert_eq!(
+        counters.get("pit_hub_steps_total{}").copied(),
+        Some(report.batches as f64),
+        "one Step record per executed batch"
+    );
+    // Each completion's FirstToken + Finished closes one TTFT and one
+    // e2e sample against the submitter's admission.
+    for family in ["pit_hub_ttft_seconds", "pit_hub_e2e_seconds"] {
+        assert_eq!(
+            summary_count(&expo, family),
+            report.requests as u64,
+            "{family}"
+        );
+    }
     // The whole-run gauge block marks the run complete (sample line,
     // not the HELP line).
     assert!(
         body.contains("\npit_hub_run_complete 1\n"),
         "finish() sealed the run"
+    );
+}
+
+/// The `_count` sample of a summary family.
+fn summary_count(expo: &Exposition, family: &str) -> u64 {
+    expo.families()
+        .iter()
+        .find(|f| f.name == family)
+        .and_then(|f| f.samples.iter().find(|s| s.suffix == "_count"))
+        .unwrap_or_else(|| panic!("{family}_count missing"))
+        .value as u64
+}
+
+#[test]
+fn every_consumer_folds_the_report_latencies() {
+    // Short prompts, long summarization outputs, a pool a few contexts
+    // deep: decode growth preempts, and recompute victims re-admit
+    // mid-generation. The prompts are prefixes of one token stream, so
+    // prefix caching has shared pages to match.
+    let mut trace = DecodeTrace::poisson(
+        &DatasetSpec::cola(),
+        &DecodeSpec::summarization(),
+        48,
+        400.0,
+        43,
+    );
+    trace.prompt_ids = trace
+        .prompt_lens
+        .iter()
+        .map(|&n| (0..n as u32).collect())
+        .collect();
+    let mut model = ModelConfig::opt("1.3B");
+    model.layers = 2;
+    let builder = || DecodeServeConfig::builder(model.clone(), DeviceSpec::a100_80gb());
+    let mut cases = Vec::new();
+    for preempt in [PreemptPolicy::Recompute, PreemptPolicy::SwapToHost] {
+        for prefix in [false, true] {
+            for sparsity in [
+                KvSparsityPolicy::Dense,
+                KvSparsityPolicy::HeavyHitter {
+                    recent: 128,
+                    heavy: 128,
+                },
+            ] {
+                let cfg = builder()
+                    .policy(DecodePolicy::ContinuousPaddingFree { token_budget: 256 })
+                    .kv_pages(64)
+                    .preempt(preempt)
+                    .prefix_caching(prefix)
+                    .kv_sparsity(sparsity);
+                cases.push((format!("{preempt:?}/prefix={prefix}/{sparsity:?}"), cfg));
+            }
+        }
+    }
+    cases.push((
+        "static".to_string(),
+        builder().policy(DecodePolicy::StaticPadded { max_batch: 16 }),
+    ));
+
+    let target = SloTarget {
+        ttft_s: 0.5,
+        itl_s: 0.05,
+        objective: 0.99,
+    };
+    let mut readmitted_tokens = 0;
+    for (name, cfg) in cases {
+        let cfg = cfg.build().expect("valid agreement config");
+        let sink = TraceSink::enabled();
+        let hub = MetricsHub::new(HubConfig {
+            window_s: 0.25,
+            ring_capacity: 64,
+            slo: Some(target),
+            drift: None,
+        });
+        let (report, _) = simulate_decode_trace_observed(&cfg, &trace, &sink, 0, Some(&hub));
+        assert_eq!(report.requests, trace.len(), "{name}: every request served");
+        let records = sink.drain();
+
+        let folded = LatencySketches::from_records(&records);
+        assert_eq!(
+            Percentiles::from_sketch(&folded.ttft),
+            report.ttft,
+            "{name}: ttft"
+        );
+        assert_eq!(
+            Percentiles::from_sketch(&folded.itl),
+            report.itl,
+            "{name}: itl"
+        );
+        assert_eq!(
+            Percentiles::from_sketch(&folded.e2e),
+            report.e2e,
+            "{name}: e2e"
+        );
+        let expo = report.exposition();
+        assert_eq!(
+            folded.ttft.count(),
+            summary_count(&expo, "pit_ttft_seconds"),
+            "{name}"
+        );
+        assert_eq!(
+            folded.e2e.count(),
+            summary_count(&expo, "pit_e2e_seconds"),
+            "{name}"
+        );
+
+        let live = hub.exposition();
+        for (family, sketch) in [
+            ("pit_hub_ttft_seconds", &folded.ttft),
+            ("pit_hub_itl_seconds", &folded.itl),
+            ("pit_hub_e2e_seconds", &folded.e2e),
+        ] {
+            assert_eq!(
+                summary_count(&live, family),
+                sketch.count(),
+                "{name}: {family}"
+            );
+        }
+        let slo = hub.slo_report().expect("hub has SLO targets");
+        let mut replayed = SloMonitor::new(target, 0.25);
+        replayed.observe(&records);
+        assert_eq!(replayed.report(None).windows, slo.windows, "{name}: slo");
+        // Every decode slot's token is an ITL, plus each re-admission's
+        // first token.
+        let readmits: usize = {
+            let mut first_tokens: BTreeMap<u64, usize> = BTreeMap::new();
+            for r in records.iter().filter(|r| r.event == TraceEvent::FirstToken) {
+                *first_tokens.entry(r.lane).or_default() += 1;
+            }
+            first_tokens.values().map(|n| n - 1).sum()
+        };
+        assert_eq!(
+            folded.itl.count(),
+            (report.decode_tokens + readmits) as u64,
+            "{name}: itl count"
+        );
+        readmitted_tokens += readmits;
+        let totals =
+            |f: fn(&pit::trace::SloWindowReport) -> u64| slo.windows.iter().map(f).sum::<u64>();
+        assert_eq!(
+            totals(|w| w.ttft_total),
+            folded.ttft.count(),
+            "{name}: slo ttft"
+        );
+        assert_eq!(
+            totals(|w| w.itl_total),
+            folded.itl.count(),
+            "{name}: slo itl"
+        );
+    }
+    assert!(
+        readmitted_tokens > 0,
+        "some recompute victim re-admitted mid-generation"
     );
 }
