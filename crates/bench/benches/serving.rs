@@ -1,6 +1,6 @@
-//! Serving-throughput bench: the same arrival trace scheduled and
-//! executed under each batching policy through the deterministic
-//! single-device simulator, plus a packer microbench.
+//! Serving-throughput bench: the same request lengths, all queued at
+//! t = 0, scheduled and executed under each batching policy through the
+//! deterministic single-device replay, plus a packer microbench.
 //!
 //! The wall-clock numbers measure scheduler + analytic-executor host cost;
 //! the *served* comparison (tokens per modelled GPU second, padding waste)
@@ -8,7 +8,7 @@
 //! the padded-vs-padding-free throughput table.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use pit_serve::{simulate_trace, BatchPolicy, ServeConfig};
+use pit_serve::{simulate_trace_arrivals, BatchPolicy, ServeConfig};
 use pit_workloads::patterns::ArrivalTrace;
 use pit_workloads::DatasetSpec;
 
@@ -31,10 +31,15 @@ fn cfg(policy: BatchPolicy) -> ServeConfig {
 
 fn bench_serving(c: &mut Criterion) {
     let trace = ArrivalTrace::poisson(&DatasetSpec::mnli(), 192, 200.0, 23);
+    // The closed drain: every request queued at t = 0.
+    let trace = ArrivalTrace {
+        arrival_s: vec![0.0; trace.len()],
+        ..trace
+    };
 
     // Print the served-throughput table once, outside the timing loops.
     for policy in policies() {
-        let report = simulate_trace(&cfg(policy), &trace.lens);
+        let report = simulate_trace_arrivals(&cfg(policy), &trace);
         println!(
             "serving/{}: {:.0} tokens/s on the modelled A100, waste {:.1}%, {} batches",
             report.policy,
@@ -50,9 +55,9 @@ fn bench_serving(c: &mut Criterion) {
         let config = cfg(policy);
         group.bench_with_input(
             BenchmarkId::new("simulate", policy.name()),
-            &trace.lens,
-            |bench, lens| {
-                bench.iter(|| simulate_trace(&config, lens));
+            &trace,
+            |bench, trace| {
+                bench.iter(|| simulate_trace_arrivals(&config, trace));
             },
         );
     }

@@ -43,6 +43,8 @@
 //! GPU second, padding waste, TTFT/inter-token/e2e percentiles, KV
 //! occupancy/fragmentation and preemption counts.
 
+#![warn(clippy::too_many_lines)]
+
 use crate::metrics::{CacheStats, DecodeMetrics, DecodeReport};
 use crate::runtime::charge_shape_selection;
 use pit_core::jit::JitCache;
@@ -807,7 +809,7 @@ pub fn simulate_decode_trace_observed(
 ) -> (DecodeReport, ExemplarSet) {
     let cache = JitCache::with_capacity(cfg.cache_capacity.max(1));
     let mut kv = PagedKvCache::new(cfg.kv_config());
-    let mut waiting: VecDeque<Seq> = trace
+    let waiting: VecDeque<Seq> = trace
         .prompt_lens
         .iter()
         .zip(&trace.output_lens)
@@ -849,20 +851,20 @@ pub fn simulate_decode_trace_observed(
                 name.push('+');
                 name.push_str(cfg.kv_sparsity.name());
             }
-            run_continuous(
+            run_continuous(SchedState::new(
                 cfg,
                 token_budget,
-                &mut waiting,
+                waiting,
                 &trace.prompt_ids,
                 &mut kv,
                 &cache,
                 &mut rec,
-            );
+            ));
         }
         // The builder rejected prefix caching, swap preemption and KV
         // sparsity for this policy, so no combination checks remain here.
         DecodePolicy::StaticPadded { max_batch } => {
-            run_static(cfg, max_batch, &mut waiting, &mut kv, &cache, &mut rec);
+            run_static(cfg, max_batch, waiting, &mut kv, &cache, &mut rec);
         }
     }
     if cfg.verify_invariants {
@@ -921,8 +923,7 @@ impl<'a> Recorder<'a> {
     /// One executed step completing at `t_s`: the report counts
     /// `prefill`/`decode` real rows of `processed`, both ledgers take the
     /// sample's category split, the hub the post-step KV occupancy, and
-    /// the device lane a `Step` record of `traced_prefill` prefill rows.
-    #[allow(clippy::too_many_arguments)]
+    /// the device lane a `Step` record of the same real rows.
     fn step(
         &mut self,
         t_s: f64,
@@ -930,7 +931,6 @@ impl<'a> Recorder<'a> {
         prefill: usize,
         decode: usize,
         processed: usize,
-        traced_prefill: usize,
         kv: &PagedKvCache,
     ) {
         self.metrics.charge_step(sample);
@@ -950,7 +950,7 @@ impl<'a> Recorder<'a> {
             t_s,
             DEVICE_LANE,
             TraceEvent::Step {
-                prefill_rows: traced_prefill,
+                prefill_rows: prefill,
                 decode_slots: decode,
                 gpu_s: sample.gpu_s,
             },
@@ -981,22 +981,27 @@ impl<'a> Recorder<'a> {
         }
     }
 
-    /// `s` emitted its next token at `t_s` (call before `s` counts it):
-    /// the request's first token is its TTFT, any later one — a recompute
-    /// re-admission's `FirstToken` included — an ITL since the previous.
-    fn token(&mut self, t_s: f64, s: &Seq, event: TraceEvent) {
+    /// `s` emits its next token at `t_s`, the one token path of both
+    /// loops: the request's first token is its TTFT, any later one — a
+    /// recompute re-admission's `FirstToken` included — an ITL since the
+    /// previous. Advances `s`, records `Finished` on its last token and
+    /// returns whether it was the last. KV growth and release stay with
+    /// the caller.
+    fn emit_token(&mut self, t_s: f64, s: &mut Seq, event: TraceEvent) -> bool {
         if s.generated == 0 {
             self.metrics.record_ttft(t_s - s.arrival_s, s.prefix_hit);
         } else {
             self.metrics.record_itl(t_s - s.last_token_s);
         }
         self.record(t_s, s.id, event);
-    }
-
-    /// `s` emitted its last token at `t_s`.
-    fn finished(&mut self, t_s: f64, s: &Seq) {
-        self.metrics.record_e2e(t_s - s.arrival_s);
-        self.record(t_s, s.id, TraceEvent::Finished);
+        s.generated += 1;
+        s.last_token_s = t_s;
+        let done = s.done();
+        if done {
+            self.metrics.record_e2e(t_s - s.arrival_s);
+            self.record(t_s, s.id, TraceEvent::Finished);
+        }
+        done
     }
 
     fn record(&mut self, t_s: f64, lane: u64, event: TraceEvent) {
@@ -1025,657 +1030,775 @@ impl<'a> Recorder<'a> {
     }
 }
 
-/// The continuous-batching loop with chunked prefill:
-///
-/// 1. admit arrived requests into the prefilling queue (KV admission
-///    signal), matching each prompt against the prefix index first when
-///    prefix caching is on — matched pages are shared, not re-prefilled;
-/// 2. reserve decode headroom, evicting prefix-index LRU leaves and then
-///    preempting latest-arrival requests (partial prefills first —
-///    cheapest to recompute) when pages run out; under
-///    [`PreemptPolicy::SwapToHost`] a victim's exclusively-held pages
-///    move to the host tier instead (eviction DMA gates the reclaiming
-///    step), with per-victim recompute fallback;
-/// 3. plan this iteration's prefill chunks FIFO under the token budget
-///    and the remaining free pages;
-/// 4. run one mixed step; every decode slot emits a token, every chunk
-///    advances its prompt, completed prefills publish their whole-page
-///    prompt pages to the index, emit their first token and join the
-///    decode set.
-///
-/// Swapped sequences wait FIFO for free device frames (ahead of new
-/// arrivals), then their restore transfer streams on the h2d link while
-/// the scheduler keeps batching — they rejoin only when the transfer
-/// lands, context intact, nothing re-prefilled.
-fn run_continuous(
-    cfg: &DecodeServeConfig,
+/// Panics: the KV pool cannot hold `what` even with nothing else in it,
+/// so the pool is misconfigured, not overloaded.
+fn pool_too_small(kv: &PagedKvCache, what: impl std::fmt::Display) -> ! {
+    let (pages, size) = (kv.config().num_pages, kv.config().page_size);
+    panic!(
+        "KV pool ({pages} pages of {size} tokens) cannot fit {what}; \
+         enlarge kv_pages/kv_mem_fraction"
+    )
+}
+
+/// The continuous-batching loop with chunked prefill: one
+/// [`SchedState::iterate`] per iteration until every request finished,
+/// then the end-of-run release.
+fn run_continuous(mut st: SchedState<'_, '_>) {
+    while st.has_work() {
+        st.iterate();
+    }
+    st.finish();
+}
+
+/// The continuous loop's state: the queues a request moves through, the
+/// prefix index, the swap engine and the virtual clock. Each phase of an
+/// iteration is one method; [`Self::iterate`] runs them in order.
+struct SchedState<'a, 'r> {
+    cfg: &'a DecodeServeConfig,
     token_budget: usize,
-    waiting: &mut VecDeque<Seq>,
-    prompts: &[Vec<u32>],
-    kv: &mut PagedKvCache,
-    cache: &JitCache,
-    rec: &mut Recorder,
-) {
-    let token_budget = token_budget.max(1);
-    let page = kv.config().page_size;
-    let chunk_cap = if cfg.prefill_chunk == 0 {
-        usize::MAX
-    } else {
-        cfg.prefill_chunk
-    };
-    let mut index = cfg.prefix_caching.then(|| RadixPrefixIndex::new(page));
-    let mut swap = matches!(cfg.preempt, PreemptPolicy::SwapToHost)
-        .then(|| SwapEngine::new(&cfg.device, kv.config().page_bytes.max(1)));
-    let mut prefilling: VecDeque<Seq> = VecDeque::new();
-    let mut running: Vec<Seq> = Vec::new();
-    // Swapped-out victims waiting for device frames (`bool` = was it
-    // decoding, i.e. does it rejoin `running` rather than `prefilling`),
-    // and restores whose transfer is still on the wire.
-    let mut swapped: VecDeque<(Seq, bool)> = VecDeque::new();
-    let mut restoring: RestoreQueue<(Seq, bool)> = RestoreQueue::new();
-    let mut clock_s = 0.0_f64;
+    prompts: &'a [Vec<u32>],
+    kv: &'a mut PagedKvCache,
+    cache: &'a JitCache,
+    rec: &'a mut Recorder<'r>,
+    /// Not yet admitted (or requeued by a recompute preemption), in
+    /// arrival order.
+    waiting: VecDeque<Seq>,
+    /// Admitted and still prefilling, FIFO.
+    prefilling: VecDeque<Seq>,
+    /// Decoding, in arrival order.
+    running: Vec<Seq>,
+    /// Swapped-out victims waiting for device frames (`bool` = was it
+    /// decoding, i.e. does it rejoin `running` rather than `prefilling`).
+    swapped: VecDeque<(Seq, bool)>,
+    /// Restores whose transfer is still on the wire.
+    restoring: RestoreQueue<(Seq, bool)>,
+    index: Option<RadixPrefixIndex>,
+    swap: Option<SwapEngine>,
+    clock_s: f64,
+    /// Requests this iteration could not advance, with the typed cause;
+    /// flushed as `Waiting` events at the step boundary (where the wait
+    /// ends), dropped by an iteration that re-plans without stepping.
+    deferrals: Vec<(u64, WaitCause, f64)>,
+    /// This iteration's chunk per prefilling request (0 = none).
+    planned: Vec<usize>,
+    page: usize,
+    chunk_cap: usize,
+}
 
-    while !waiting.is_empty()
-        || !prefilling.is_empty()
-        || !running.is_empty()
-        || !swapped.is_empty()
-        || !restoring.is_empty()
-    {
-        // Deferral notebook: requests the scheduler looked at this
-        // iteration and could not advance, with the typed cause. Flushed
-        // as `Waiting` events at the step boundary (the instant the wait
-        // they explain ends); an iteration that re-plans without
-        // stepping drops them and re-observes next time around.
-        let mut deferrals: Vec<(u64, WaitCause, f64)> = Vec::new();
-
-        // Restore-on-readmission: swapped sequences have priority over
-        // new arrivals for free frames (their context is paid for — the
-        // sooner it is back, the less the host pool holds). One spare
-        // frame beyond the swapped pages lets the restored sequence take
-        // at least one decode step before any further preemption.
-        // Initiation runs BEFORE the idle clock jump so that a drained
-        // batch starts its restores on the idle link immediately instead
-        // of deferring them behind an unrelated future arrival.
-        if let Some(eng) = swap.as_mut() {
-            while let Some((head, _)) = swapped.front() {
-                if running.len() + prefilling.len() + restoring.len() >= cfg.max_live.max(1) {
-                    deferrals.push((head.id, WaitCause::MaxLiveCap, head.arrival_s));
-                    break;
-                }
-                let need = kv.seq_host_pages(head.id) + 1;
-                assert!(
-                    need <= kv.config().num_pages,
-                    "KV pool ({} pages of {page} tokens) cannot hold one swapped \
-                     context plus headroom; enlarge kv_pages/kv_mem_fraction",
-                    kv.config().num_pages
-                );
-                if kv.free_pages() < need {
-                    let want = need - kv.free_pages();
-                    evict_index_pages(kv, index.as_mut(), want);
-                }
-                if kv.free_pages() < need {
-                    deferrals.push((head.id, WaitCause::KvPoolExhausted, head.arrival_s));
-                    break;
-                }
-                let (s, was_decoding) = swapped.pop_front().expect("front checked");
-                let moved = kv.swap_in(s.id).expect("frames checked above");
-                let done = eng.swap_in(clock_s, moved);
-                rec.metrics.record_restore(done - clock_s);
-                rec.record(
-                    done,
-                    s.id,
-                    TraceEvent::SwapIn {
-                        pages: moved,
-                        initiated_s: clock_s,
-                        link_busy_until_s: eng.h2d_busy_until_s(),
-                    },
-                );
-                restoring.push((s, was_decoding), done);
-            }
-        }
-
-        if prefilling.is_empty() && running.is_empty() {
-            let arrival = waiting.front().map_or(f64::INFINITY, |w| w.arrival_s);
-            let restore = restoring.next_ready_s().unwrap_or(f64::INFINITY);
-            let next = arrival.min(restore);
-            if next.is_finite() && next > clock_s {
-                // Ledger attribution: waiting out an in-flight restore is
-                // an h2d stall; waiting for a future arrival is idle.
-                if restore <= arrival {
-                    rec.h2d_stall(next - clock_s);
-                } else {
-                    rec.idle(next - clock_s);
-                }
-                clock_s = next;
-            }
-        }
-
-        // Restores whose transfer has landed rejoin the batch: decoding
-        // victims slot back into `running` in arrival order, mid-prefill
-        // victims resume at the head of the prefill queue (they are the
-        // oldest work there).
-        for (s, was_decoding) in restoring.pop_ready(clock_s) {
-            if was_decoding {
-                let pos = running
-                    .iter()
-                    .position(|r| r.arrival_s > s.arrival_s)
-                    .unwrap_or(running.len());
-                running.insert(pos, s);
-            } else {
-                prefilling.push_front(s);
-            }
-        }
-
-        // 1a. KV sparsity: compact every decoding sequence's cache to its
-        // policy-retained page set before admission, so the freed frames
-        // are in the admission gate's supply. Running sequences are fully
-        // device-resident (restores rejoin only after their transfer
-        // lands), and only fully-written interior pages are selected, so
-        // the release cannot fail. Shared or prefix-pinned pages leave
-        // this sequence's table but stay resident for their other
-        // holders — `freed` counts frames actually returned to the pool.
-        if !cfg.kv_sparsity.is_dense() {
-            for s in &running {
-                let len = kv.seq_tokens(s.id).expect("running seq holds pages");
-                let evict = cfg.kv_sparsity.evict_positions(len, page);
-                if evict.is_empty() {
-                    continue;
-                }
-                let pages: Vec<pit_kv::PageId> = {
-                    let table = kv.seq_pages(s.id).expect("running seq holds pages");
-                    evict.iter().map(|&pos| table[pos]).collect()
-                };
-                let freed = kv
-                    .release_seq_pages(s.id, &pages)
-                    .expect("retained-set eviction picks legal pages");
-                rec.metrics.record_sparsity_eviction(pages.len(), freed);
-                rec.record(
-                    clock_s,
-                    s.id,
-                    TraceEvent::SparsityEvict { pages: pages.len() },
-                );
-            }
-        }
-
-        // 1. Admission: FIFO prefix of arrived requests, capped by the
-        // live-set bound; the KV pool's free-page signal (first chunk +
-        // one decode slot) is the other admission gate. The prefix index
-        // is the marginal page supply: its cold leaves are evicted before
-        // an admission is refused.
-        while let Some(w) = waiting.front() {
-            if w.arrival_s > clock_s {
-                break;
-            }
-            if running.len() + prefilling.len() + restoring.len() >= cfg.max_live.max(1) {
-                deferrals.push((w.id, WaitCause::MaxLiveCap, w.arrival_s));
-                break;
-            }
-            let first = w.ctx().max(1).min(chunk_cap);
-            if !kv.can_admit(first + 1) {
-                let want = kv
-                    .config()
-                    .pages_for(first + 1)
-                    .saturating_sub(kv.free_pages());
-                evict_index_pages(kv, index.as_mut(), want);
-            }
-            if !kv.can_admit(first + 1) {
-                assert!(
-                    !(prefilling.is_empty()
-                        && running.is_empty()
-                        && swapped.is_empty()
-                        && restoring.is_empty()
-                        && index.as_ref().is_none_or(RadixPrefixIndex::is_empty)),
-                    "KV pool ({} pages of {page} tokens) cannot fit a single \
-                     {first}-token prefill chunk; enlarge kv_pages/kv_mem_fraction",
-                    kv.config().num_pages
-                );
-                deferrals.push((w.id, WaitCause::KvPoolExhausted, w.arrival_s));
-                break;
-            }
-            let mut w = waiting.pop_front().expect("front checked");
-            rec.record(
-                clock_s,
-                w.id,
-                TraceEvent::Admitted {
-                    arrival_s: w.arrival_s,
-                },
-            );
-            if let Some(ix) = index.as_mut() {
-                // Match the prompt (never past its second-to-last token —
-                // even a fully cached prompt must prefill something to
-                // produce first-token logits), page-granularly.
-                let m = ix.match_prefix(&prompts[w.id as usize]);
-                let matched = m.tokens.min(w.prompt.saturating_sub(1) / page * page);
-                if matched > 0 {
-                    kv.alloc_shared(w.id, &m.pages[..matched / page], matched)
-                        .expect("matched pages are live in the pool");
-                    w.prefilled = matched;
-                    // Cache-served rows are never re-run through the
-                    // model, so they come off any recompute debt.
-                    w.rework = w.rework.saturating_sub(matched);
-                    w.prefix_hit = true;
-                } else {
-                    w.prefix_hit = false;
-                }
-                rec.metrics.record_prefix_admission(matched, w.prefix_hit);
-                if w.prefix_hit {
-                    rec.record(
-                        clock_s,
-                        w.id,
-                        TraceEvent::PrefixHit {
-                            pages: matched / page,
-                            tokens: matched,
-                        },
-                    );
-                }
-            }
-            prefilling.push_back(w);
-        }
-
-        // 2. Decode headroom: every decode slot continuing past this step
-        // whose context sits on a page boundary needs one fresh page.
-        // Evict prefix-index leaves, then preempt (recompute on
-        // re-admission) until the pool can honour the step: partial
-        // prefills first, then the latest-arrival decoding request —
-        // cached-but-cold prefixes are always cheaper to give up than
-        // live progress.
-        let decode_headroom = loop {
-            // Page-boundary test on the *cached* length (what the pool
-            // holds after sparsity eviction), not the logical context —
-            // eviction shrinks the cache page-aligned, so the cadence is
-            // the same, but the cached length is what `extend` sees.
-            let needed = running
-                .iter()
-                .filter(|s| {
-                    !will_finish(s)
-                        && kv
-                            .seq_tokens(s.id)
-                            .expect("running seq holds pages")
-                            .is_multiple_of(page)
-                })
-                .count();
-            if needed <= kv.free_pages() {
-                break needed;
-            }
-            if evict_index_pages(kv, index.as_mut(), needed - kv.free_pages()) {
-                continue;
-            }
-            if let Some(pos) = (0..prefilling.len())
-                .rev()
-                .find(|&i| prefilling[i].prefilled > 0)
-            {
-                let victim = prefilling.remove(pos).expect("position found");
-                preempt_victim(
-                    victim,
-                    false,
-                    kv,
-                    waiting,
-                    &mut swapped,
-                    swap.as_mut(),
-                    rec,
-                    &mut clock_s,
-                );
-            } else if let Some(victim) = running.pop() {
-                preempt_victim(
-                    victim,
-                    true,
-                    kv,
-                    waiting,
-                    &mut swapped,
-                    swap.as_mut(),
-                    rec,
-                    &mut clock_s,
-                );
-            } else {
-                unreachable!("headroom is only needed by running requests");
-            }
-        };
-
-        // 3. Chunk planning: head-of-line prefills take the budget left
-        // after the committed decode slots, page-checked against the free
-        // pages not reserved as decode headroom. A chunk that completes a
-        // prompt also reserves the page its first generated token may
-        // need. Chunks shrink to what the pages allow; the head of the
-        // queue stalls rather than being overtaken (FIFO fairness).
-        let mut virtual_free = kv.free_pages() - decode_headroom;
-        let mut rows = running.len();
-        let mut planned: Vec<usize> = vec![0; prefilling.len()];
-        for (i, s) in prefilling.iter().enumerate() {
-            if rows >= token_budget && !(running.is_empty() && i == 0) {
-                deferrals.push((s.id, WaitCause::TokenBudgetFull, s.arrival_s));
-                break;
-            }
-            let remaining = s.ctx().max(1) - s.prefilled;
-            let budget_room = if running.is_empty() && i == 0 {
-                // Never stall the whole system on a budget smaller than
-                // one chunk: an oversized head chunk runs alone.
-                remaining.min(chunk_cap)
-            } else {
-                remaining.min(chunk_cap).min(token_budget - rows)
-            };
-            let mut c = budget_room;
-            let held = kv.config().pages_for(s.prefilled);
-            while c > 0 {
-                let completes = c == remaining;
-                let carry = usize::from(completes && s.generated + 1 < s.target);
-                let need = kv.config().pages_for(s.prefilled + c + carry) - held;
-                if need <= virtual_free {
-                    let taken = if s.prefilled == 0 {
-                        kv.alloc(s.id, c)
-                    } else {
-                        kv.extend(s.id, c)
-                    }
-                    .expect("planned within free pages");
-                    debug_assert!(taken <= need);
-                    virtual_free -= need; // keeps the carry page reserved
-                    planned[i] = c;
-                    rows += c;
-                    break;
-                }
-                // Shrink to the largest chunk the free pages cover.
-                let fits = ((held + virtual_free) * page).saturating_sub(s.prefilled);
-                c = fits.min(c - 1);
-            }
-            if planned[i] == 0 {
-                // Head-of-line stall: wait for pages, keep FIFO. The head
-                // itself is starved of frames; anything behind it is
-                // blocked by the head, not by the pool.
-                deferrals.push((
-                    s.id,
-                    if i == 0 {
-                        WaitCause::KvPoolExhausted
-                    } else {
-                        WaitCause::HeadOfLinePrefill
-                    },
-                    s.arrival_s,
-                ));
-                break;
-            }
-        }
-
-        // Stalled with no decode work: reclaim prefix-cache pages, then
-        // free a later partial prefill so the head can make progress next
-        // iteration. With restores in flight the frames are merely in
-        // transit — jump to the transfer's completion instead. Waiting on
-        // *time* (a future arrival, an in-flight restore) is the only
-        // reason to idle; anything else blocked here is blocked on
-        // frames and must reclaim some, down to demoting a swapped
-        // victim whose still-shared device pages hold the pool open —
-        // otherwise a run left with only swapped sequences and too few
-        // free frames to restore would spin forever.
-        if running.is_empty() && rows == 0 {
-            // Deferring to the top-of-loop wake-up is only sound when
-            // that jump actually advances the clock: a *future* arrival
-            // qualifies, but an in-flight restore does not if the head
-            // of `waiting` already arrived — min(arrival, restore) then
-            // clamps to the past arrival and the loop would spin. That
-            // case falls through to the explicit restore-completion jump
-            // below instead.
-            let future_arrival = waiting.front().is_some_and(|w| w.arrival_s > clock_s);
-            if prefilling.is_empty() && future_arrival {
-                continue; // idle: next loop jumps to the next wake-up
-            }
-            if evict_index_pages(kv, index.as_mut(), 1) {
-                continue;
-            }
-            if let Some(pos) = (1..prefilling.len())
-                .rev()
-                .find(|&i| prefilling[i].prefilled > 0)
-            {
-                let victim = prefilling.remove(pos).expect("position found");
-                preempt_victim(
-                    victim,
-                    false,
-                    kv,
-                    waiting,
-                    &mut swapped,
-                    swap.as_mut(),
-                    rec,
-                    &mut clock_s,
-                );
-                continue;
-            }
-            if let Some(ready) = restoring.next_ready_s() {
-                if ready > clock_s {
-                    rec.h2d_stall(ready - clock_s);
-                    clock_s = ready;
-                    // The whole scheduler waited out the transfer; pin
-                    // the wait on the blocked head — a stalled prefill,
-                    // or an arrived request the pool kept out.
-                    let head = prefilling.front().map(|s| (s.id, s.arrival_s)).or_else(|| {
-                        waiting
-                            .front()
-                            .filter(|w| w.arrival_s <= clock_s)
-                            .map(|w| (w.id, w.arrival_s))
-                    });
-                    if let Some((lane, since_s)) = head {
-                        rec.record(
-                            clock_s,
-                            lane,
-                            TraceEvent::Waiting {
-                                cause: WaitCause::RestoreInFlight,
-                                since_s,
-                            },
-                        );
-                    }
-                }
-                continue;
-            }
-            if let Some((victim, was_decoding)) = swapped.pop_back() {
-                // Last resort: demote the youngest swapped victim to
-                // recompute so its host pages stop holding the books
-                // open (its shared device pages free with it). Its
-                // preserved context will be re-prefilled after all, so
-                // the savings recorded at swap time are handed back.
-                let preserved = host_written_tokens(kv, victim.id);
-                rec.metrics.record_swap_demotion(preserved);
-                rec.record(
-                    clock_s,
-                    victim.id,
-                    TraceEvent::Preempted {
-                        policy: "swap-demotion",
-                    },
-                );
-                preempt_to_waiting(victim, was_decoding, kv, waiting);
-                continue;
-            }
-            panic!(
-                "KV pool ({} pages of {page} tokens) cannot fit one prefill chunk; \
-                 enlarge kv_pages/kv_mem_fraction",
-                kv.config().num_pages
-            );
-        }
-
-        // 4. One mixed iteration: padding-free, so processed == real
-        // rows. Each decode slot carries (attended, cached): under a
-        // sparse policy the attention read set is the retained pages
-        // only, micro-tile packed by the engine, so the step's cost
-        // scales with attended rather than cached tokens.
-        let shape = StepShape {
-            prefill_lens: Vec::new(),
-            chunks: prefilling
-                .iter()
-                .zip(&planned)
-                .filter(|&(_, &c)| c > 0)
-                .map(|(s, &c)| (c, s.prefilled + c))
-                .collect(),
-            decode: running
-                .iter()
-                .map(|s| {
-                    let cached = kv.seq_tokens(s.id).expect("running seq holds pages");
-                    DecodeSlot {
-                        attended: cfg.kv_sparsity.attended(cached, page),
-                        cached,
-                    }
-                })
-                .collect(),
-        };
-        if cfg.verify_invariants {
-            // The ISSUE-level safety property of tiering: a decode step
-            // must never read KV that currently lives across the link.
-            for s in &running {
-                assert_eq!(
-                    kv.seq_resident(s.id),
-                    Some(true),
-                    "decode step would read a host-resident page of seq {}",
-                    s.id
-                );
-            }
-        }
-        let sample = step_sample(cfg, &shape, shape.rows(), cache);
-        clock_s += sample.gpu_s;
-        rec.step(
-            clock_s,
-            &sample,
-            shape.chunk_tokens(),
-            shape.decode_slots(),
-            shape.rows(),
-            shape.chunk_tokens(),
+impl<'a, 'r> SchedState<'a, 'r> {
+    fn new(
+        cfg: &'a DecodeServeConfig,
+        token_budget: usize,
+        waiting: VecDeque<Seq>,
+        prompts: &'a [Vec<u32>],
+        kv: &'a mut PagedKvCache,
+        cache: &'a JitCache,
+        rec: &'a mut Recorder<'r>,
+    ) -> Self {
+        let page = kv.config().page_size;
+        let swap = matches!(cfg.preempt, PreemptPolicy::SwapToHost)
+            .then(|| SwapEngine::new(&cfg.device, kv.config().page_bytes.max(1)));
+        SchedState {
+            cfg,
+            token_budget: token_budget.max(1),
+            prompts,
             kv,
-        );
-        // The waits observed while planning this step end at its boundary:
-        // flush them here so the gap each one explains telescopes exactly
-        // into the blame tiling.
-        for (lane, cause, since_s) in deferrals.drain(..) {
-            rec.record(clock_s, lane, TraceEvent::Waiting { cause, since_s });
+            cache,
+            rec,
+            waiting,
+            prefilling: VecDeque::new(),
+            running: Vec::new(),
+            swapped: VecDeque::new(),
+            restoring: RestoreQueue::new(),
+            index: cfg.prefix_caching.then(|| RadixPrefixIndex::new(page)),
+            swap,
+            clock_s: 0.0,
+            deferrals: Vec::new(),
+            planned: Vec::new(),
+            page,
+            chunk_cap: match cfg.prefill_chunk {
+                0 => usize::MAX,
+                chunk => chunk,
+            },
         }
-        // Prefill rows re-deriving KV discarded at a recompute
-        // preemption pay their debt here: they cost GPU time and count
-        // in `prefill_tokens`, but not in the served-token goodput.
-        let rework_rows: usize = prefilling
-            .iter_mut()
-            .zip(&planned)
-            .map(|(s, &c)| {
-                let re = c.min(s.rework);
-                s.rework -= re;
-                re
-            })
-            .sum();
-        rec.metrics.record_recompute_rework(rework_rows);
-        rec.metrics
-            .record_attention(shape.attended_tokens(), shape.cached_tokens());
-        if swap.is_some() {
-            rec.metrics.record_host_occupancy(kv.host_occupancy());
-        }
+    }
 
-        // Decode slots each emitted one token.
-        let mut still_running: Vec<Seq> = Vec::with_capacity(running.len() + prefilling.len());
-        for (slot, mut s) in shape.decode.iter().zip(running.drain(..)) {
-            rec.token(
-                clock_s,
-                &s,
-                TraceEvent::DecodeStep {
-                    attended: slot.attended,
-                    cached: slot.cached,
-                },
-            );
-            s.generated += 1;
-            s.last_token_s = clock_s;
-            if s.done() {
-                kv.free(s.id).expect("completed request held pages");
-                rec.finished(clock_s, &s);
-            } else {
-                kv.extend(s.id, 1).expect("headroom reserved before step");
-                still_running.push(s);
-            }
-        }
-        // Chunks landed; completed prefills publish their whole-page
-        // prompt pages to the prefix index (before any free — published
-        // pages outlive the request via the index's retains), emit their
-        // first token and join the decode set (in FIFO order, after the
-        // older survivors).
-        let mut still_prefilling: VecDeque<Seq> = VecDeque::with_capacity(prefilling.len());
-        for (mut s, c) in prefilling.drain(..).zip(planned) {
-            if c > 0 {
-                rec.record(clock_s, s.id, TraceEvent::PrefillChunk { tokens: c });
-            }
-            s.prefilled += c;
-            if s.prefilled < s.ctx().max(1) {
-                still_prefilling.push_back(s);
-                continue;
-            }
-            if let Some(ix) = index.as_mut() {
-                let full = s.prompt / page;
-                if full > 0 {
-                    let pages =
-                        kv.seq_pages(s.id).expect("prefilled seq holds pages")[..full].to_vec();
-                    let ids = &prompts[s.id as usize];
-                    let adopted = ix.insert(&ids[..full * page], &pages);
-                    if !adopted.is_empty() {
-                        kv.retain_pages(&adopted).expect("published pages are live");
-                    }
-                }
-            }
-            // After a recompute re-admission this token's gap includes
-            // requeue and recompute — the honest preemption penalty.
-            rec.token(clock_s, &s, TraceEvent::FirstToken);
-            s.generated += 1;
-            s.last_token_s = clock_s;
-            if s.done() {
-                kv.free(s.id).expect("completed request held pages");
-                rec.finished(clock_s, &s);
-            } else {
-                kv.extend(s.id, 1).expect("carry page reserved at planning");
-                still_running.push(s);
-            }
-        }
-        running = still_running;
-        prefilling = still_prefilling;
+    fn has_work(&self) -> bool {
+        !(self.waiting.is_empty()
+            && self.prefilling.is_empty()
+            && self.running.is_empty()
+            && self.swapped.is_empty()
+            && self.restoring.is_empty())
+    }
 
-        if cfg.verify_invariants {
-            kv.check_invariants()
+    /// One scheduler iteration, phase by phase. An iteration that plans
+    /// no rows recovers from the stall instead of stepping.
+    fn iterate(&mut self) {
+        self.deferrals.clear();
+        self.start_restores();
+        self.jump_idle_clock();
+        self.land_restores();
+        self.evict_sparse_pages();
+        self.admit();
+        let headroom = self.reserve_decode_headroom();
+        if self.plan_chunks(headroom) == 0 {
+            self.recover_stalled();
+            return;
+        }
+        let shape = self.execute_step();
+        self.commit(&shape.decode);
+        if self.cfg.verify_invariants {
+            self.kv
+                .check_invariants()
                 .expect("kv invariants after iteration");
-            if let Some(ix) = index.as_ref() {
+            if let Some(ix) = self.index.as_ref() {
                 ix.check_invariants()
                     .expect("prefix invariants after iteration");
             }
         }
     }
 
-    // End of run: snapshot the transfer counters and the index's, then
-    // release the index's page pins so the pool drains leak-free.
-    if let Some(eng) = swap {
-        rec.metrics.set_swap(eng.stats());
+    fn at_live_cap(&self) -> bool {
+        self.running.len() + self.prefilling.len() + self.restoring.len()
+            >= self.cfg.max_live.max(1)
     }
-    if let Some(mut ix) = index {
-        rec.metrics.set_prefix(ix.stats());
-        let held = ix.drain_all();
-        if !held.is_empty() {
-            kv.release_pages(&held).expect("index pages were retained");
-        }
-    }
-}
 
-/// Releases prefix-index LRU leaves until at least `want` pages came back
-/// to the free list (pages still shared with live sequences only drop the
-/// index's pin). Returns whether any page was physically freed.
-fn evict_index_pages(
-    kv: &mut PagedKvCache,
-    index: Option<&mut RadixPrefixIndex>,
-    want: usize,
-) -> bool {
-    let Some(ix) = index else {
-        return false;
-    };
-    let want = want.max(1);
-    let mut freed = 0usize;
-    while freed < want && !ix.is_empty() {
-        let evicted = ix.evict_lru(want - freed);
-        if evicted.is_empty() {
-            break;
-        }
-        let round = kv
-            .release_pages(&evicted)
-            .expect("index pages were retained");
-        if round == 0 {
-            // This round's leaves are all still referenced by live
-            // sequences — dropping more pins frees nothing now and would
-            // only wipe the hot cache; stop and let the caller preempt.
-            break;
-        }
-        freed += round;
+    /// Cached KV tokens of a decoding sequence.
+    fn cached(&self, id: u64) -> usize {
+        self.kv.seq_tokens(id).expect("running seq holds pages")
     }
-    freed > 0
+
+    /// Records `event` on `lane` at the current clock.
+    fn record(&mut self, lane: u64, event: TraceEvent) {
+        self.rec.record(self.clock_s, lane, event);
+    }
+
+    /// Restore-on-readmission: swapped sequences have priority over new
+    /// arrivals for free frames (their context is paid for — the sooner
+    /// it is back, the less the host pool holds). One spare frame beyond
+    /// the swapped pages lets the restored sequence take at least one
+    /// decode step before any further preemption. Runs BEFORE the idle
+    /// clock jump so that a drained batch starts its restores on the idle
+    /// link immediately instead of deferring them behind an unrelated
+    /// future arrival.
+    fn start_restores(&mut self) {
+        while let Some((head, _)) = self.swapped.front() {
+            let (id, arrival_s) = (head.id, head.arrival_s);
+            if self.at_live_cap() {
+                self.deferrals.push((id, WaitCause::MaxLiveCap, arrival_s));
+                break;
+            }
+            let need = self.kv.seq_host_pages(id) + 1;
+            if need > self.kv.config().num_pages {
+                pool_too_small(self.kv, format_args!("{need} pages to restore a context"));
+            }
+            if !self.free_at_least(need) {
+                self.deferrals
+                    .push((id, WaitCause::KvPoolExhausted, arrival_s));
+                break;
+            }
+            let (s, was_decoding) = self.swapped.pop_front().expect("front checked");
+            let moved = self.kv.swap_in(s.id).expect("frames checked above");
+            let eng = self.swap.as_mut().expect("only a swap engine swaps");
+            let done = eng.swap_in(self.clock_s, moved);
+            let event = TraceEvent::SwapIn {
+                pages: moved,
+                initiated_s: self.clock_s,
+                link_busy_until_s: eng.h2d_busy_until_s(),
+            };
+            self.rec.metrics.record_restore(done - self.clock_s);
+            self.rec.record(done, s.id, event);
+            self.restoring.push((s, was_decoding), done);
+        }
+    }
+
+    /// With nothing to prefill or decode, jump the clock to the next
+    /// wake-up: waiting out an in-flight restore is an h2d stall on the
+    /// ledger, waiting for a future arrival is idle.
+    fn jump_idle_clock(&mut self) {
+        if !(self.prefilling.is_empty() && self.running.is_empty()) {
+            return;
+        }
+        let arrival = self.waiting.front().map_or(f64::INFINITY, |w| w.arrival_s);
+        let restore = self.restoring.next_ready_s().unwrap_or(f64::INFINITY);
+        let next = arrival.min(restore);
+        if next.is_finite() && next > self.clock_s {
+            if restore <= arrival {
+                self.rec.h2d_stall(next - self.clock_s);
+            } else {
+                self.rec.idle(next - self.clock_s);
+            }
+            self.clock_s = next;
+        }
+    }
+
+    /// Restores whose transfer has landed rejoin the batch: decoding
+    /// victims slot back into `running` in arrival order, mid-prefill
+    /// victims resume at the head of the prefill queue (they are the
+    /// oldest work there).
+    fn land_restores(&mut self) {
+        for (s, was_decoding) in self.restoring.pop_ready(self.clock_s) {
+            if was_decoding {
+                let pos = self
+                    .running
+                    .iter()
+                    .position(|r| r.arrival_s > s.arrival_s)
+                    .unwrap_or(self.running.len());
+                self.running.insert(pos, s);
+            } else {
+                self.prefilling.push_front(s);
+            }
+        }
+    }
+
+    /// KV sparsity: compact every decoding sequence's cache to its
+    /// policy-retained page set before admission, so the freed frames are
+    /// in the admission gate's supply. Running sequences are fully
+    /// device-resident (restores rejoin only after their transfer lands),
+    /// and only fully-written interior pages are selected, so the release
+    /// cannot fail. Shared or prefix-pinned pages leave this sequence's
+    /// table but stay resident for their other holders — `freed` counts
+    /// frames actually returned to the pool.
+    fn evict_sparse_pages(&mut self) {
+        if self.cfg.kv_sparsity.is_dense() {
+            return;
+        }
+        for s in &self.running {
+            let evict = self
+                .cfg
+                .kv_sparsity
+                .evict_positions(self.cached(s.id), self.page);
+            if evict.is_empty() {
+                continue;
+            }
+            let table = self.kv.seq_pages(s.id).expect("running seq holds pages");
+            let pages: Vec<pit_kv::PageId> = evict.iter().map(|&pos| table[pos]).collect();
+            let freed = self
+                .kv
+                .release_seq_pages(s.id, &pages)
+                .expect("retained-set eviction picks legal pages");
+            let event = TraceEvent::SparsityEvict { pages: pages.len() };
+            self.rec
+                .metrics
+                .record_sparsity_eviction(pages.len(), freed);
+            self.rec.record(self.clock_s, s.id, event);
+        }
+    }
+
+    /// Admission: FIFO prefix of arrived requests, capped by the live-set
+    /// bound; the KV pool's free-page signal (first chunk + one decode
+    /// slot) is the other admission gate. The prefix index is the
+    /// marginal page supply: its cold leaves are evicted before an
+    /// admission is refused.
+    fn admit(&mut self) {
+        while let Some(w) = self.waiting.front() {
+            if w.arrival_s > self.clock_s {
+                break;
+            }
+            let (id, arrival_s) = (w.id, w.arrival_s);
+            let first = w.ctx().max(1).min(self.chunk_cap);
+            if self.at_live_cap() {
+                self.deferrals.push((id, WaitCause::MaxLiveCap, arrival_s));
+                break;
+            }
+            let pages = self.kv.config().pages_for(first + 1);
+            if !self.free_at_least(pages) {
+                if self.prefilling.is_empty()
+                    && self.running.is_empty()
+                    && self.swapped.is_empty()
+                    && self.restoring.is_empty()
+                    && self.index.as_ref().is_none_or(RadixPrefixIndex::is_empty)
+                {
+                    pool_too_small(
+                        self.kv,
+                        format_args!("a single {first}-token prefill chunk"),
+                    );
+                }
+                self.deferrals
+                    .push((id, WaitCause::KvPoolExhausted, arrival_s));
+                break;
+            }
+            let mut w = self.waiting.pop_front().expect("front checked");
+            self.record(id, TraceEvent::Admitted { arrival_s });
+            self.match_prefix(&mut w);
+            self.prefilling.push_back(w);
+        }
+    }
+
+    /// Matches an admitted prompt against the prefix index (never past
+    /// its second-to-last token — even a fully cached prompt must prefill
+    /// something to produce first-token logits), page-granularly, and
+    /// shares the matched pages.
+    fn match_prefix(&mut self, w: &mut Seq) {
+        let Some(ix) = self.index.as_mut() else {
+            return;
+        };
+        let m = ix.match_prefix(&self.prompts[w.id as usize]);
+        let matched = m
+            .tokens
+            .min(w.prompt.saturating_sub(1) / self.page * self.page);
+        w.prefix_hit = matched > 0;
+        self.rec
+            .metrics
+            .record_prefix_admission(matched, w.prefix_hit);
+        if w.prefix_hit {
+            self.kv
+                .alloc_shared(w.id, &m.pages[..matched / self.page], matched)
+                .expect("matched pages are live in the pool");
+            w.prefilled = matched;
+            // Cache-served rows are never re-run through the model, so
+            // they come off any recompute debt.
+            w.rework = w.rework.saturating_sub(matched);
+            let pages = matched / self.page;
+            self.record(
+                w.id,
+                TraceEvent::PrefixHit {
+                    pages,
+                    tokens: matched,
+                },
+            );
+        }
+    }
+
+    /// Decode headroom: every decode slot continuing past this step whose
+    /// context sits on a page boundary needs one fresh page. Evict
+    /// prefix-index leaves, then preempt until the pool can honour the
+    /// step: partial prefills first, then the latest-arrival decoding
+    /// request — cached-but-cold prefixes are always cheaper to give up
+    /// than live progress. Returns the pages reserved.
+    fn reserve_decode_headroom(&mut self) -> usize {
+        loop {
+            // Page-boundary test on the *cached* length (what the pool
+            // holds after sparsity eviction), not the logical context —
+            // eviction shrinks the cache page-aligned, so the cadence is
+            // the same, but the cached length is what `extend` sees.
+            let needed = self
+                .running
+                .iter()
+                .filter(|s| !will_finish(s) && self.cached(s.id).is_multiple_of(self.page))
+                .count();
+            let free = self.kv.free_pages();
+            if needed <= free {
+                return needed;
+            }
+            if self.evict_index_pages(needed - free) {
+                continue;
+            }
+            if let Some(victim) = self.take_partial_prefill(0) {
+                self.preempt(victim, false);
+            } else {
+                let victim = self
+                    .running
+                    .pop()
+                    .expect("headroom is only needed by running requests");
+                self.preempt(victim, true);
+            }
+        }
+    }
+
+    /// Chunk planning: head-of-line prefills take the budget left after
+    /// the committed decode slots, page-checked against the free pages not
+    /// reserved as decode headroom. A chunk that completes a prompt also
+    /// reserves the page its first generated token may need. Chunks
+    /// shrink to what the pages allow; the head of the queue stalls
+    /// rather than being overtaken (FIFO fairness). Allocates the planned
+    /// chunks and returns the step's rows.
+    fn plan_chunks(&mut self, headroom: usize) -> usize {
+        let mut virtual_free = self.kv.free_pages() - headroom;
+        let mut rows = self.running.len();
+        self.planned.clear();
+        self.planned.resize(self.prefilling.len(), 0);
+        for (i, s) in self.prefilling.iter().enumerate() {
+            // Never stall the whole system on a budget smaller than one
+            // chunk: an oversized head chunk runs alone.
+            let alone = self.running.is_empty() && i == 0;
+            if rows >= self.token_budget && !alone {
+                self.deferrals
+                    .push((s.id, WaitCause::TokenBudgetFull, s.arrival_s));
+                break;
+            }
+            let remaining = s.ctx().max(1) - s.prefilled;
+            let mut c = remaining.min(self.chunk_cap);
+            if !alone {
+                c = c.min(self.token_budget - rows);
+            }
+            let held = self.kv.config().pages_for(s.prefilled);
+            while c > 0 {
+                let completes = c == remaining;
+                let carry = usize::from(completes && s.generated + 1 < s.target);
+                let need = self.kv.config().pages_for(s.prefilled + c + carry) - held;
+                if need <= virtual_free {
+                    let taken = if s.prefilled == 0 {
+                        self.kv.alloc(s.id, c)
+                    } else {
+                        self.kv.extend(s.id, c)
+                    }
+                    .expect("planned within free pages");
+                    debug_assert!(taken <= need);
+                    virtual_free -= need; // keeps the carry page reserved
+                    self.planned[i] = c;
+                    rows += c;
+                    break;
+                }
+                // Shrink to the largest chunk the free pages cover.
+                let fits = ((held + virtual_free) * self.page).saturating_sub(s.prefilled);
+                c = fits.min(c - 1);
+            }
+            if self.planned[i] == 0 {
+                // Head-of-line stall: wait for pages, keep FIFO. The head
+                // itself is starved of frames; anything behind it is
+                // blocked by the head, not by the pool.
+                let cause = if i == 0 {
+                    WaitCause::KvPoolExhausted
+                } else {
+                    WaitCause::HeadOfLinePrefill
+                };
+                self.deferrals.push((s.id, cause, s.arrival_s));
+                break;
+            }
+        }
+        rows
+    }
+
+    /// Stalled with no decode work: reclaim prefix-cache pages, then free
+    /// a later partial prefill so the head can make progress next
+    /// iteration. With restores in flight the frames are merely in
+    /// transit — jump to the transfer's completion instead. Waiting on
+    /// *time* (a future arrival, an in-flight restore) is the only reason
+    /// to idle; anything else blocked here is blocked on frames and must
+    /// reclaim some, down to demoting a swapped victim whose still-shared
+    /// device pages hold the pool open — otherwise a run left with only
+    /// swapped sequences and too few free frames to restore would spin
+    /// forever.
+    fn recover_stalled(&mut self) {
+        // Deferring to the next iteration's wake-up is only sound when
+        // that jump actually advances the clock: a *future* arrival
+        // qualifies, but an in-flight restore does not if the head of
+        // `waiting` already arrived — min(arrival, restore) then clamps
+        // to the past arrival and the loop would spin. That case falls
+        // through to the explicit restore-completion jump below instead.
+        let future_arrival = self
+            .waiting
+            .front()
+            .is_some_and(|w| w.arrival_s > self.clock_s);
+        if self.prefilling.is_empty() && future_arrival {
+            return; // idle: the next iteration jumps to the next wake-up
+        }
+        if self.evict_index_pages(1) {
+            return;
+        }
+        if let Some(victim) = self.take_partial_prefill(1) {
+            self.preempt(victim, false);
+        } else if let Some(ready) = self.restoring.next_ready_s() {
+            if ready > self.clock_s {
+                self.rec.h2d_stall(ready - self.clock_s);
+                self.clock_s = ready;
+                // The whole scheduler waited out the transfer; pin the
+                // wait on the blocked head — a stalled prefill, or an
+                // arrived request the pool kept out.
+                let head = self
+                    .prefilling
+                    .front()
+                    .or_else(|| self.waiting.front().filter(|w| w.arrival_s <= self.clock_s));
+                if let Some(&Seq { id, arrival_s, .. }) = head {
+                    let cause = WaitCause::RestoreInFlight;
+                    self.record(
+                        id,
+                        TraceEvent::Waiting {
+                            cause,
+                            since_s: arrival_s,
+                        },
+                    );
+                }
+            }
+        } else if let Some((victim, was_decoding)) = self.swapped.pop_back() {
+            // Last resort: demote the youngest swapped victim to
+            // recompute so its host pages stop holding the books open
+            // (its shared device pages free with it). Its preserved
+            // context will be re-prefilled after all, so the savings
+            // recorded at swap time are handed back.
+            let preserved = host_written_tokens(self.kv, victim.id);
+            self.rec.metrics.record_swap_demotion(preserved);
+            let policy = "swap-demotion";
+            self.record(victim.id, TraceEvent::Preempted { policy });
+            self.requeue(victim, was_decoding);
+        } else {
+            pool_too_small(self.kv, "one prefill chunk");
+        }
+    }
+
+    /// One mixed iteration: padding-free, so processed == real rows. Each
+    /// decode slot carries (attended, cached): under a sparse policy the
+    /// attention read set is the retained pages only, micro-tile packed
+    /// by the engine, so the step's cost scales with attended rather than
+    /// cached tokens. Advances the clock past the step and flushes the
+    /// deferral notebook at its boundary.
+    fn execute_step(&mut self) -> StepShape {
+        let shape = StepShape {
+            prefill_lens: Vec::new(),
+            chunks: self
+                .prefilling
+                .iter()
+                .zip(&self.planned)
+                .filter(|&(_, &c)| c > 0)
+                .map(|(s, &c)| (c, s.prefilled + c))
+                .collect(),
+            decode: self
+                .running
+                .iter()
+                .map(|s| {
+                    let cached = self.cached(s.id);
+                    let attended = self.cfg.kv_sparsity.attended(cached, self.page);
+                    DecodeSlot { attended, cached }
+                })
+                .collect(),
+        };
+        if self.cfg.verify_invariants {
+            // The safety property of tiering: a decode step must never
+            // read KV that currently lives across the link.
+            for s in &self.running {
+                assert_eq!(
+                    self.kv.seq_resident(s.id),
+                    Some(true),
+                    "decode step would read a host-resident page of seq {}",
+                    s.id
+                );
+            }
+        }
+        let sample = step_sample(self.cfg, &shape, shape.rows(), self.cache);
+        self.clock_s += sample.gpu_s;
+        let (prefill, decode, rows) = (shape.chunk_tokens(), shape.decode_slots(), shape.rows());
+        self.rec
+            .step(self.clock_s, &sample, prefill, decode, rows, self.kv);
+        // The waits observed while planning this step end at its
+        // boundary: flush them here so the gap each one explains
+        // telescopes exactly into the blame tiling.
+        for (lane, cause, since_s) in self.deferrals.drain(..) {
+            self.rec
+                .record(self.clock_s, lane, TraceEvent::Waiting { cause, since_s });
+        }
+        let metrics = &mut self.rec.metrics;
+        metrics.record_attention(shape.attended_tokens(), shape.cached_tokens());
+        if self.swap.is_some() {
+            metrics.record_host_occupancy(self.kv.host_occupancy());
+        }
+        shape
+    }
+
+    /// Commits the step: every decode slot emitted one token; chunks
+    /// landed, and completed prefills publish their whole-page prompt
+    /// pages to the prefix index (before any free — published pages
+    /// outlive the request via the index's retains), emit their first
+    /// token and join the decode set (in FIFO order, after the older
+    /// survivors).
+    fn commit(&mut self, decode: &[DecodeSlot]) {
+        let survivors = Vec::with_capacity(self.running.len() + self.prefilling.len());
+        let decoding = std::mem::replace(&mut self.running, survivors);
+        for (slot, s) in decode.iter().zip(decoding) {
+            let event = TraceEvent::DecodeStep {
+                attended: slot.attended,
+                cached: slot.cached,
+            };
+            self.emit(s, event);
+        }
+        let still = VecDeque::with_capacity(self.prefilling.len());
+        let prefilling = std::mem::replace(&mut self.prefilling, still);
+        for (i, mut s) in prefilling.into_iter().enumerate() {
+            let c = self.planned[i];
+            if c > 0 {
+                self.record(s.id, TraceEvent::PrefillChunk { tokens: c });
+            }
+            // Prefill rows re-deriving KV discarded at a recompute
+            // preemption pay their debt here: they cost GPU time and count
+            // in `prefill_tokens`, but not in the served-token goodput.
+            let rework = c.min(s.rework);
+            s.rework -= rework;
+            self.rec.metrics.record_recompute_rework(rework);
+            s.prefilled += c;
+            if s.prefilled < s.ctx().max(1) {
+                self.prefilling.push_back(s);
+                continue;
+            }
+            self.publish_prefix(&s);
+            // After a recompute re-admission this token's gap includes
+            // requeue and recompute — the honest preemption penalty.
+            self.emit(s, TraceEvent::FirstToken);
+        }
+    }
+
+    /// `s` emits its next token now; a finished request frees its pages,
+    /// a continuing one grows into the page reserved for it (decode
+    /// headroom, or the carry page planned with its last chunk) and joins
+    /// `running`.
+    fn emit(&mut self, mut s: Seq, event: TraceEvent) {
+        if self.rec.emit_token(self.clock_s, &mut s, event) {
+            self.kv.free(s.id).expect("completed request held pages");
+        } else {
+            self.kv.extend(s.id, 1).expect("next token's page reserved");
+            self.running.push(s);
+        }
+    }
+
+    /// Publishes a completed prefill's whole-page prompt pages to the
+    /// prefix index; pages the index adopts gain its pin.
+    fn publish_prefix(&mut self, s: &Seq) {
+        let Some(ix) = self.index.as_mut() else {
+            return;
+        };
+        let full = s.prompt / self.page;
+        if full == 0 {
+            return;
+        }
+        let pages = self.kv.seq_pages(s.id).expect("prefilled seq holds pages")[..full].to_vec();
+        let ids = &self.prompts[s.id as usize][..full * self.page];
+        let adopted = ix.insert(ids, &pages);
+        if !adopted.is_empty() {
+            self.kv
+                .retain_pages(&adopted)
+                .expect("published pages are live");
+        }
+    }
+
+    /// End of run: snapshot the transfer counters and the index's, then
+    /// release the index's page pins so the pool drains leak-free.
+    fn finish(self) {
+        if let Some(eng) = self.swap {
+            self.rec.metrics.set_swap(eng.stats());
+        }
+        if let Some(mut ix) = self.index {
+            self.rec.metrics.set_prefix(ix.stats());
+            let held = ix.drain_all();
+            if !held.is_empty() {
+                self.kv
+                    .release_pages(&held)
+                    .expect("index pages were retained");
+            }
+        }
+    }
+
+    /// Whether `pages` device frames are free, evicting prefix-index
+    /// leaves first when they are not.
+    fn free_at_least(&mut self, pages: usize) -> bool {
+        let free = self.kv.free_pages();
+        if free < pages {
+            self.evict_index_pages(pages - free);
+        }
+        self.kv.free_pages() >= pages
+    }
+
+    /// Releases prefix-index LRU leaves until at least `want` pages came
+    /// back to the free list (pages still shared with live sequences only
+    /// drop the index's pin). Returns whether any page was physically
+    /// freed.
+    fn evict_index_pages(&mut self, want: usize) -> bool {
+        let Some(ix) = self.index.as_mut() else {
+            return false;
+        };
+        let want = want.max(1);
+        let mut freed = 0usize;
+        while freed < want && !ix.is_empty() {
+            let evicted = ix.evict_lru(want - freed);
+            if evicted.is_empty() {
+                break;
+            }
+            let round = self
+                .kv
+                .release_pages(&evicted)
+                .expect("index pages were retained");
+            if round == 0 {
+                // This round's leaves are all still referenced by live
+                // sequences — dropping more pins frees nothing now and
+                // would only wipe the hot cache; stop and let the caller
+                // preempt.
+                break;
+            }
+            freed += round;
+        }
+        freed > 0
+    }
+
+    /// Removes the latest prefill at queue position `from` or later that
+    /// holds KV — the cheapest preemption victim to recompute.
+    fn take_partial_prefill(&mut self, from: usize) -> Option<Seq> {
+        let pos = (from..self.prefilling.len())
+            .rev()
+            .find(|&i| self.prefilling[i].prefilled > 0)?;
+        self.prefilling.remove(pos)
+    }
+
+    /// Preempts one victim under the configured policy. With a swap
+    /// engine, its exclusively-held pages move to the host tier
+    /// (decode-adjacent first; shared and prefix-pinned pages stay for
+    /// their other holders) — the eviction DMA's completion gates the
+    /// virtual clock because the freed frames are rewritten by the very
+    /// step this preemption makes room for. A victim with nothing
+    /// swappable, or one the host pool cannot hold, falls back to
+    /// recompute.
+    fn preempt(&mut self, victim: Seq, was_decoding: bool) {
+        let policy = if let Some(eng) = self.swap.as_mut() {
+            let table = self.kv.seq_pages(victim.id).expect("victim held pages");
+            let descs: Vec<PageDesc> = table
+                .iter()
+                .map(|&p| PageDesc {
+                    page: p,
+                    refs: self.kv.page_refs(p),
+                    ext_refs: self.kv.page_ext_refs(p),
+                })
+                .collect();
+            let plan = plan_swap_out(&descs);
+            if !plan.is_empty() && plan.len() <= self.kv.host_free_pages() {
+                // Savings = written slots on the pages actually moved: the
+                // KV recompute would have to re-derive. Shared prefix
+                // pages stay resident either way, so they are not counted.
+                let saved: usize = plan.iter().map(|&p| self.kv.page_written(p)).sum();
+                let initiated_s = self.clock_s;
+                self.kv.swap_out(victim.id, &plan).expect("plan is legal");
+                self.clock_s = eng.swap_out(initiated_s, plan.len());
+                // The eviction DMA gates the reclaiming step: the clock
+                // advance is a d2h stall on the ledger.
+                self.rec.d2h_stall(self.clock_s - initiated_s);
+                self.rec.metrics.record_swap_preempt(saved);
+                let policy = "swap-to-host";
+                self.rec
+                    .record(initiated_s, victim.id, TraceEvent::Preempted { policy });
+                let event = TraceEvent::SwapOut {
+                    pages: plan.len(),
+                    initiated_s,
+                    link_busy_until_s: eng.d2h_busy_until_s(),
+                };
+                self.rec.record(self.clock_s, victim.id, event);
+                self.swapped.push_back((victim, was_decoding));
+                return;
+            }
+            self.rec.metrics.record_swap_fallback();
+            "swap-fallback"
+        } else {
+            "recompute"
+        };
+        self.record(victim.id, TraceEvent::Preempted { policy });
+        self.requeue(victim, was_decoding);
+    }
+
+    /// The recompute-preemption protocol: frees the victim's pages, resets
+    /// its chunked-prefill progress (re-admission re-prefills `prompt +
+    /// generated` from scratch) and returns it to the head of the waiting
+    /// queue so earlier arrivals re-admit first. Every context row the
+    /// system had already run through the model — the full context for a
+    /// decoding victim, the prefill progress otherwise — becomes rework
+    /// debt, so the re-derivation is metered as overhead rather than
+    /// served work.
+    fn requeue(&mut self, mut victim: Seq, was_decoding: bool) {
+        self.kv.preempt(victim.id).expect("victim held pages");
+        victim.rework += if was_decoding {
+            // The final re-prefill row doubles as the next decode step —
+            // its logits emit a fresh token — so it stays served work.
+            victim.ctx().saturating_sub(1)
+        } else {
+            victim.prefilled
+        };
+        victim.prefilled = 0;
+        self.waiting.push_front(victim);
+    }
 }
 
 /// Whether this step's token is the request's last (no KV growth needed).
@@ -1695,118 +1818,12 @@ fn host_written_tokens(kv: &PagedKvCache, seq: u64) -> usize {
     })
 }
 
-/// The recompute-preemption protocol: frees the victim's pages, resets its
-/// chunked-prefill progress (re-admission re-prefills `prompt + generated`
-/// from scratch) and returns it to the head of the waiting queue so
-/// earlier arrivals re-admit first. Every context row the system had
-/// already run through the model — the full context for a decoding
-/// victim, the prefill progress otherwise — becomes rework debt, so the
-/// re-derivation is metered as overhead rather than served work.
-fn preempt_to_waiting(
-    mut victim: Seq,
-    was_decoding: bool,
-    kv: &mut PagedKvCache,
-    waiting: &mut VecDeque<Seq>,
-) {
-    kv.preempt(victim.id).expect("victim held pages");
-    victim.rework += if was_decoding {
-        // The final re-prefill row doubles as the next decode step — its
-        // logits emit a fresh token — so it stays served work.
-        victim.ctx().saturating_sub(1)
-    } else {
-        victim.prefilled
-    };
-    victim.prefilled = 0;
-    waiting.push_front(victim);
-}
-
-/// Preempts one victim under the configured policy. With a swap engine,
-/// its exclusively-held pages move to the host tier (decode-adjacent
-/// first; shared and prefix-pinned pages stay for their other holders) —
-/// the eviction DMA's completion gates the virtual clock because the
-/// freed frames are rewritten by the very step this preemption makes
-/// room for. A victim with nothing swappable, or one the host pool
-/// cannot hold, falls back to recompute.
-#[allow(clippy::too_many_arguments)]
-fn preempt_victim(
-    victim: Seq,
-    was_decoding: bool,
-    kv: &mut PagedKvCache,
-    waiting: &mut VecDeque<Seq>,
-    swapped: &mut VecDeque<(Seq, bool)>,
-    swap: Option<&mut SwapEngine>,
-    rec: &mut Recorder,
-    clock_s: &mut f64,
-) {
-    if let Some(eng) = swap {
-        let descs: Vec<PageDesc> = kv
-            .seq_pages(victim.id)
-            .expect("victim held pages")
-            .iter()
-            .map(|&p| PageDesc {
-                page: p,
-                refs: kv.page_refs(p),
-                ext_refs: kv.page_ext_refs(p),
-            })
-            .collect();
-        let plan = plan_swap_out(&descs);
-        if !plan.is_empty() && plan.len() <= kv.host_free_pages() {
-            // Savings = written slots on the pages actually moved: the KV
-            // recompute would have to re-derive. Shared prefix pages stay
-            // resident either way, so they are not counted.
-            let saved: usize = plan.iter().map(|&p| kv.page_written(p)).sum();
-            let initiated_s = *clock_s;
-            kv.swap_out(victim.id, &plan).expect("plan is legal");
-            *clock_s = eng.swap_out(*clock_s, plan.len());
-            // The eviction DMA gates the reclaiming step: the clock
-            // advance is a d2h stall on the ledger.
-            rec.d2h_stall(*clock_s - initiated_s);
-            rec.metrics.record_swap_preempt(saved);
-            rec.record(
-                initiated_s,
-                victim.id,
-                TraceEvent::Preempted {
-                    policy: "swap-to-host",
-                },
-            );
-            rec.record(
-                *clock_s,
-                victim.id,
-                TraceEvent::SwapOut {
-                    pages: plan.len(),
-                    initiated_s,
-                    link_busy_until_s: eng.d2h_busy_until_s(),
-                },
-            );
-            swapped.push_back((victim, was_decoding));
-            return;
-        }
-        rec.metrics.record_swap_fallback();
-        rec.record(
-            *clock_s,
-            victim.id,
-            TraceEvent::Preempted {
-                policy: "swap-fallback",
-            },
-        );
-    } else {
-        rec.record(
-            *clock_s,
-            victim.id,
-            TraceEvent::Preempted {
-                policy: "recompute",
-            },
-        );
-    }
-    preempt_to_waiting(victim, was_decoding, kv, waiting);
-}
-
 /// The static padded loop: batch once, reserve worst-case KV, prefill the
 /// rectangle, decode until the longest output completes.
 fn run_static(
     cfg: &DecodeServeConfig,
     max_batch: usize,
-    waiting: &mut VecDeque<Seq>,
+    mut waiting: VecDeque<Seq>,
     kv: &mut PagedKvCache,
     cache: &JitCache,
     rec: &mut Recorder,
@@ -1814,89 +1831,35 @@ fn run_static(
     let max_batch = max_batch.max(1);
     let mut clock_s = 0.0_f64;
 
-    while !waiting.is_empty() {
-        let arrival = waiting.front().expect("non-empty").arrival_s;
-        if arrival > clock_s {
-            rec.idle(arrival - clock_s);
-            clock_s = arrival;
+    while let Some(head) = waiting.front() {
+        if head.arrival_s > clock_s {
+            rec.idle(head.arrival_s - clock_s);
+            clock_s = head.arrival_s;
         }
         let mut batch: Vec<Seq> = Vec::new();
         while batch.len() < max_batch {
             match waiting.front() {
                 Some(w) if w.arrival_s <= clock_s => {
                     let w = waiting.pop_front().expect("front checked");
-                    rec.record(
-                        clock_s,
-                        w.id,
-                        TraceEvent::Admitted {
-                            arrival_s: w.arrival_s,
-                        },
-                    );
+                    let arrival_s = w.arrival_s;
+                    rec.record(clock_s, w.id, TraceEvent::Admitted { arrival_s });
                     batch.push(w)
                 }
                 _ => break,
             }
         }
-
-        // Worst-case contiguous reservation per slot: max prompt + max
-        // output. If the pool cannot hold the whole batch, shrink it from
-        // the back (those requests return to the queue head).
-        loop {
-            let max_p = batch
-                .iter()
-                .map(|s| s.prompt)
-                .max()
-                .expect("batch non-empty");
-            let max_o = batch
-                .iter()
-                .map(|s| s.target)
-                .max()
-                .expect("batch non-empty");
-            let mut failed_at = None;
-            for (i, s) in batch.iter().enumerate() {
-                if kv.alloc_reserved(s.id, s.prompt, max_p + max_o).is_err() {
-                    failed_at = Some(i);
-                    break;
-                }
-            }
-            match failed_at {
-                None => break,
-                Some(i) => {
-                    for s in &batch[..i] {
-                        kv.free(s.id).expect("allocated above");
-                    }
-                    assert!(
-                        i > 0,
-                        "KV pool ({} pages) cannot fit one worst-case reservation \
-                         of {} tokens; enlarge kv_pages/kv_mem_fraction",
-                        kv.config().num_pages,
-                        max_p + max_o
-                    );
-                    while batch.len() > i {
-                        waiting.push_front(batch.pop().expect("len checked"));
-                    }
-                }
-            }
-        }
-
+        let (max_p, max_o) = reserve_rectangle(&mut batch, &mut waiting, kv);
         let b = batch.len();
-        let max_p = batch.iter().map(|s| s.prompt).max().expect("non-empty");
-        let max_o = batch.iter().map(|s| s.target).max().expect("non-empty");
 
         // Prefill the rectangle: every slot processes max_p rows.
         let shape = StepShape::prefill(vec![max_p; b]);
         let real: usize = batch.iter().map(|s| s.prompt).sum();
         let sample = step_sample(cfg, &shape, real, cache);
         clock_s += sample.gpu_s;
-        rec.step(clock_s, &sample, real, 0, shape.rows(), shape.rows(), kv);
+        rec.step(clock_s, &sample, real, 0, shape.rows(), kv);
         for s in batch.iter_mut() {
-            rec.token(clock_s, s, TraceEvent::FirstToken);
-            s.generated = 1;
-            s.last_token_s = clock_s;
+            rec.emit_token(clock_s, s, TraceEvent::FirstToken);
             kv.extend(s.id, 1).expect("inside reservation");
-            if s.done() {
-                rec.finished(clock_s, s);
-            }
         }
 
         // Decode the rectangle to the longest output. Finished slots stay
@@ -1912,32 +1875,57 @@ fn run_static(
             let live = batch.iter().filter(|s| s.target >= t).count();
             let sample = step_sample(cfg, &shape, live, cache);
             clock_s += sample.gpu_s;
-            rec.step(clock_s, &sample, 0, live, b, 0, kv);
+            rec.step(clock_s, &sample, 0, live, b, kv);
             // Fixed-shape kernels attend the full reservation every step:
             // attended == cached == the padded context, per slot.
             rec.metrics
                 .record_attention(shape.attended_tokens(), shape.cached_tokens());
             for s in batch.iter_mut().filter(|s| s.target >= t) {
-                rec.token(
-                    clock_s,
-                    s,
-                    TraceEvent::DecodeStep {
-                        attended: ctx_pad,
-                        cached: ctx_pad,
-                    },
-                );
-                s.generated = t;
-                s.last_token_s = clock_s;
+                let event = TraceEvent::DecodeStep {
+                    attended: ctx_pad,
+                    cached: ctx_pad,
+                };
+                rec.emit_token(clock_s, s, event);
                 kv.extend(s.id, 1).expect("inside reservation");
-                if s.done() {
-                    rec.finished(clock_s, s);
-                }
             }
         }
 
         // The rectangle completes as one unit; only now do its pages free.
         for s in &batch {
             kv.free(s.id).expect("batch held pages");
+        }
+    }
+}
+
+/// Worst-case contiguous reservation per slot of a static batch: max
+/// prompt + max output. If the pool cannot hold the whole batch, shrink
+/// it from the back (those requests return to the queue head). Returns
+/// the reserved batch's (max prompt, max output).
+fn reserve_rectangle(
+    batch: &mut Vec<Seq>,
+    waiting: &mut VecDeque<Seq>,
+    kv: &mut PagedKvCache,
+) -> (usize, usize) {
+    loop {
+        let (max_p, max_o) = batch
+            .iter()
+            .fold((0, 0), |(p, o), s| (p.max(s.prompt), o.max(s.target)));
+        let reserve = max_p + max_o;
+        // Reserves slot by slot up to the first that does not fit.
+        let Some(i) = batch
+            .iter()
+            .position(|s| kv.alloc_reserved(s.id, s.prompt, reserve).is_err())
+        else {
+            return (max_p, max_o);
+        };
+        for s in &batch[..i] {
+            kv.free(s.id).expect("allocated above");
+        }
+        if i == 0 {
+            pool_too_small(kv, format_args!("a {reserve}-token worst-case reservation"));
+        }
+        for s in batch.drain(i..).rev() {
+            waiting.push_front(s);
         }
     }
 }
@@ -2728,5 +2716,119 @@ mod tests {
         assert!(r.kv.conserved(), "leaked: {:?}", r.kv);
         assert_eq!(r.kv.host_live_pages, 0);
         assert!(r.sparsity_dropped_pages >= r.sparsity_freed_pages);
+    }
+
+    /// A hand-placed request for driving single scheduler phases.
+    fn seq(id: u64, arrival_s: f64, prompt: usize, target: usize) -> Seq {
+        Seq {
+            id,
+            arrival_s,
+            prompt,
+            target,
+            generated: 0,
+            prefilled: 0,
+            rework: 0,
+            last_token_s: arrival_s,
+            prefix_hit: false,
+        }
+    }
+
+    /// A continuous config over a `pages`-page pool of 16-token pages.
+    fn phase_cfg(pages: usize, preempt: PreemptPolicy) -> DecodeServeConfig {
+        small_builder(DecodePolicy::ContinuousPaddingFree { token_budget: 256 })
+            .kv_pages(pages)
+            .preempt(preempt)
+            .build()
+            .expect("valid phase config")
+    }
+
+    fn ids<'s>(seqs: impl IntoIterator<Item = &'s Seq>) -> Vec<u64> {
+        seqs.into_iter().map(|s| s.id).collect()
+    }
+
+    #[test]
+    fn headroom_preempts_latest_partial_prefills_then_latest_decoders() {
+        let cfg = phase_cfg(5, PreemptPolicy::Recompute);
+        let mut kv = PagedKvCache::new(cfg.kv_config());
+        let (cache, sink) = (JitCache::with_capacity(4), TraceSink::disabled());
+        let mut rec = Recorder::new(&sink, 0, None);
+        let mut st = SchedState::new(&cfg, 256, VecDeque::new(), &[], &mut kv, &cache, &mut rec);
+        // Three decoders on a page boundary, each owed a fresh page, and
+        // three prefills of which 3 and 5 hold a page: the pool is full.
+        for id in 0..3 {
+            let mut s = seq(id, id as f64, 15, 100);
+            (s.generated, s.prefilled) = (1, 16);
+            st.kv.alloc(id, 16).expect("free page");
+            st.running.push(s);
+        }
+        for id in 3..6 {
+            let mut s = seq(id, id as f64, 64, 100);
+            if id != 4 {
+                s.prefilled = 16;
+                st.kv.alloc(id, 16).expect("free page");
+            }
+            st.prefilling.push_back(s);
+        }
+        assert_eq!(st.kv.free_pages(), 0);
+        assert_eq!(st.reserve_decode_headroom(), 2);
+        // Victims in order 5, 3 (latest partial prefill first; 4 holds
+        // nothing), then decoder 2; each requeue goes to the front.
+        assert_eq!(ids(&st.waiting), [2, 3, 5]);
+        assert_eq!(ids(&st.running), [0, 1]);
+        assert_eq!(ids(&st.prefilling), [4]);
+        assert_eq!(st.kv.free_pages(), 3);
+        assert!(st.waiting.iter().all(|s| s.prefilled == 0));
+    }
+
+    #[test]
+    fn chunk_planning_shrinks_to_free_pages_and_types_each_stall() {
+        let cfg = phase_cfg(4, PreemptPolicy::Recompute);
+        let (cache, sink) = (JitCache::with_capacity(4), TraceSink::disabled());
+        let queue = || VecDeque::from([seq(0, 0.0, 64, 8), seq(1, 0.1, 16, 8)]);
+        // Another request holds `held` of the four pages.
+        for (held, planned, deferred) in [
+            // The 64-token head chunk (plus its carry page) shrinks to the
+            // 32 tokens two free pages hold; the request behind it is
+            // blocked by the head, not the pool.
+            (32, [32, 0], (1, WaitCause::HeadOfLinePrefill, 0.1)),
+            // No free page: the head itself is starved of frames.
+            (64, [0, 0], (0, WaitCause::KvPoolExhausted, 0.0)),
+        ] {
+            let mut kv = PagedKvCache::new(cfg.kv_config());
+            kv.alloc(99, held).expect("fits the pool");
+            let mut rec = Recorder::new(&sink, 0, None);
+            let mut st =
+                SchedState::new(&cfg, 256, VecDeque::new(), &[], &mut kv, &cache, &mut rec);
+            st.prefilling = queue();
+            assert_eq!(st.plan_chunks(0), planned[0]);
+            assert_eq!(st.planned, planned);
+            assert_eq!(st.deferrals, [deferred]);
+            assert_eq!(st.kv.seq_tokens(0), (planned[0] > 0).then_some(planned[0]));
+        }
+    }
+
+    #[test]
+    fn swapped_sequences_take_free_frames_before_new_arrivals() {
+        let cfg = phase_cfg(3, PreemptPolicy::SwapToHost);
+        let mut kv = PagedKvCache::new(cfg.kv_config());
+        // A decoding victim whose two pages sit in the host tier.
+        kv.alloc(0, 32).expect("fits the pool");
+        let pages = kv.seq_pages(0).expect("allocated").to_vec();
+        kv.swap_out(0, &pages).expect("exclusive pages swap");
+        let mut victim = seq(0, 0.0, 31, 100);
+        (victim.generated, victim.prefilled) = (1, 32);
+        let (cache, sink) = (JitCache::with_capacity(4), TraceSink::disabled());
+        let mut rec = Recorder::new(&sink, 0, None);
+        // An arrival whose first chunk needs all three frames.
+        let waiting = VecDeque::from([seq(1, 0.0, 32, 8)]);
+        let mut st = SchedState::new(&cfg, 256, waiting, &[], &mut kv, &cache, &mut rec);
+        st.swapped.push_back((victim, true));
+        st.iterate();
+        // The restore took two frames first; the arrival waits for pages.
+        assert_eq!(st.restoring.len(), 1);
+        assert!(st.swapped.is_empty() && st.prefilling.is_empty());
+        assert_eq!(ids(&st.waiting), [1]);
+        assert_eq!(st.kv.free_pages(), 1);
+        assert!(st.clock_s > 0.0, "the stalled loop waited out the transfer");
     }
 }

@@ -17,11 +17,12 @@
 //! - [`scheduler`] — [`BatchPolicy`]: padding-free token-budget packing
 //!   vs. padded-to-longest vs. TurboTransformers-style bucketing, plus the
 //!   [`FormedBatch`] accounting both the metrics and the executor consume.
-//! - [`runtime`] — the threaded closed-loop runtime ([`serve_trace`]), its
-//!   deterministic synchronous twin ([`simulate_trace`]), and the
-//!   open-loop replays ([`serve_trace_arrivals`], [`simulate_trace_arrivals`])
-//!   that admit requests at their `ArrivalTrace` timestamps; workers
-//!   drive `pit_models::engine` per batch and share one `JitCache`.
+//! - [`runtime`] — the threaded closed-loop runtime ([`serve_trace`]) and
+//!   the open-loop replays that admit requests at their `ArrivalTrace`
+//!   timestamps: threaded ([`serve_trace_arrivals`]) and deterministic on
+//!   a virtual clock ([`simulate_trace_arrivals`]; all-zero timestamps
+//!   give the closed drain of a queued trace); workers drive
+//!   `pit_models::engine` per batch and share one `JitCache`.
 //! - [`decode`] — decode-phase continuous batching over `pit_kv`'s paged
 //!   KV cache: requests prefill once then rejoin the batch every
 //!   iteration, scheduled under a token budget *and* a KV-page budget,
@@ -41,7 +42,14 @@
 //!   H2O heavy hitters) trims each decode slot's attention read set and
 //!   evicts pages outside the retained set, so attention cost scales
 //!   with attended — not cached — tokens and the smaller footprint
-//!   means fewer preemptions at equal KV budget.
+//!   means fewer preemptions at equal KV budget. The continuous loop is
+//!   a short driver over one private scheduler state, one method per
+//!   phase of each iteration: restore initiation, the idle/h2d clock
+//!   jump, restore landing, sparsity eviction, admission + prefix match,
+//!   decode-headroom reservation, chunk planning, stalled-no-decode
+//!   recovery, step execution and commit, then end-of-run release. Both
+//!   loops emit every token through one path (TTFT or ITL, then
+//!   `Finished` on the last token).
 //! - [`metrics`] — p50/p95/p99 latency, tokens/s on the modelled device,
 //!   padding-waste ratio, queue depth, rejected-request count and cache
 //!   hit rate in [`ServingReport`]; TTFT/inter-token percentiles (TTFT
@@ -89,8 +97,7 @@ pub use decode::{
 pub use metrics::{CacheStats, DecodeMetrics, DecodeReport, Metrics, Percentiles, ServingReport};
 pub use queue::BoundedQueue;
 pub use runtime::{
-    batch_gpu_seconds, batch_step_sample, serve_trace, serve_trace_arrivals,
-    serve_trace_arrivals_observed, simulate_trace, simulate_trace_arrivals, AdmissionMode,
-    ServeConfig,
+    batch_step_sample, serve_trace, serve_trace_arrivals, serve_trace_arrivals_observed,
+    simulate_trace_arrivals, AdmissionMode, ServeConfig,
 };
 pub use scheduler::{BatchPolicy, FormedBatch};

@@ -14,9 +14,10 @@
 //!   are searched once and reused across workers (§5.6: shapes repeat,
 //!   patterns don't).
 //!
-//! [`serve_trace`] runs that threaded runtime; [`simulate_trace`] runs the
-//! same scheduler and executor synchronously on a virtual clock for
-//! deterministic comparisons (benches, tests).
+//! [`serve_trace`] runs that threaded runtime; [`simulate_trace_arrivals`]
+//! runs the same batch policy and executor synchronously on a virtual
+//! clock for deterministic comparisons (benches, tests) — an all-`t = 0`
+//! [`ArrivalTrace`] is the closed drain of a queued trace.
 
 use crate::metrics::{CacheStats, Metrics, ServingReport};
 use crate::queue::{BoundedQueue, PopResult, TryPushError};
@@ -202,21 +203,15 @@ pub(crate) fn charge_shape_selection(
 }
 
 /// Executes one formed batch on the analytic engine and returns its
-/// modelled GPU time (seconds). This is the serving forward pass: a
-/// transformer stack over the batch's *effective* lengths, so a padded
-/// batch pays for every padded token while a padding-free batch pays only
-/// for real ones. The shared JIT cache memoises the per-shape kernel
-/// selection; a miss charges the modelled search cost to the batch.
-pub fn batch_gpu_seconds(cfg: &ServeConfig, formed: &FormedBatch, cache: &JitCache) -> f64 {
-    batch_step_sample(cfg, formed, cache).gpu_s
-}
-
-/// [`batch_gpu_seconds`] plus the batch's ledger category split: GPU
-/// seconds, attention/conversion/search attribution and the FLOP
-/// counters, tallied by the engine as the batch is charged. A serving
-/// forward pass is a stateless prefill of the batch's effective lengths
-/// ([`run_pass`] with [`KvWrite::Skip`]: this runtime keeps no KV cache),
-/// so its attention lands in `prefill_attention_s`.
+/// ledger sample: modelled GPU seconds, attention/conversion/search
+/// attribution and the FLOP counters, tallied by the engine as the batch
+/// is charged. This is the serving forward pass: a transformer stack over
+/// the batch's *effective* lengths, so a padded batch pays for every
+/// padded token while a padding-free batch pays only for real ones. It is
+/// a stateless prefill ([`run_pass`] with [`KvWrite::Skip`]: this runtime
+/// keeps no KV cache), so its attention lands in `prefill_attention_s`.
+/// The shared JIT cache memoises the per-shape kernel selection; a miss
+/// charges the modelled search cost to the batch.
 pub fn batch_step_sample(cfg: &ServeConfig, formed: &FormedBatch, cache: &JitCache) -> StepSample {
     let mut eng = Engine::new(cfg.device.clone(), cfg.dtype, cfg.policy.framework());
     let tokens = formed.padded_tokens;
@@ -396,51 +391,6 @@ pub fn serve_trace(cfg: &ServeConfig, trace: &[usize]) -> ServingReport {
         admission.high_water(),
         CacheStats::of(&cache),
     )
-}
-
-/// Deterministic single-threaded counterpart of [`serve_trace`]: the whole
-/// trace is queued at time zero and drained FIFO through the same policy
-/// and executor on one modelled device. Request "latency" is the virtual
-/// time at which its batch finishes — the right clock for comparing
-/// policies head-to-head, free of host-scheduling noise.
-pub fn simulate_trace(cfg: &ServeConfig, trace: &[usize]) -> ServingReport {
-    let cache = JitCache::with_capacity(cfg.cache_capacity.max(1));
-    let metrics = Metrics::new();
-    let started = Instant::now();
-    // `blocked_s` per queued request: modelled seconds it sat in the
-    // queue while the device ran batches that left it behind — the
-    // batch-policy analogue of a full token budget.
-    let mut pending: VecDeque<(usize, f64)> = trace.iter().map(|&l| (l, 0.0)).collect();
-    let high_water = pending.len();
-    let mut blame = BlameAggregate::new();
-    let mut virtual_now_s = 0.0;
-    while !pending.is_empty() {
-        let lens_all: Vec<usize> = pending.iter().map(|&(l, _)| l).collect();
-        let take = cfg.policy.take_count(&lens_all);
-        let taken: Vec<(usize, f64)> = pending.drain(..take).collect();
-        let formed = cfg.policy.form(lens_all[..take].to_vec());
-        let sample = batch_step_sample(cfg, &formed, &cache);
-        virtual_now_s += sample.gpu_s;
-        metrics.record_batch(&formed, sample.gpu_s);
-        metrics.charge_step(&sample);
-        for (_, blocked_s) in taken {
-            metrics.record_latency(virtual_now_s);
-            blame.fold(&batch_blame(0.0, virtual_now_s, blocked_s, sample.gpu_s));
-        }
-        for (_, blocked_s) in pending.iter_mut() {
-            *blocked_s += sample.gpu_s;
-        }
-    }
-    let mut report = metrics.report(
-        cfg.policy.name(),
-        started.elapsed().as_secs_f64(),
-        high_water,
-        CacheStats::of(&cache),
-    );
-    if blame.requests() > 0 {
-        report.blame = Some(blame.summary());
-    }
-    report
 }
 
 /// Exact causal tiling of one batch-served request's latency: its own
@@ -685,6 +635,15 @@ mod tests {
         DatasetSpec::mnli().sample_lengths(96, 42)
     }
 
+    /// The deterministic replay of `lens` all queued at t = 0.
+    fn drain(cfg: &ServeConfig, lens: &[usize]) -> ServingReport {
+        let queued = ArrivalTrace {
+            lens: lens.to_vec(),
+            arrival_s: vec![0.0; lens.len()],
+        };
+        simulate_trace_arrivals(cfg, &queued)
+    }
+
     #[test]
     fn threaded_runtime_completes_every_request() {
         let cfg = small_cfg(BatchPolicy::PaddingFree { token_budget: 1024 });
@@ -714,15 +673,15 @@ mod tests {
     #[test]
     fn padding_free_beats_padded_on_waste_and_throughput() {
         let t = trace();
-        let free = simulate_trace(
+        let free = drain(
             &small_cfg(BatchPolicy::PaddingFree { token_budget: 2048 }),
             &t,
         );
-        let padded = simulate_trace(
+        let padded = drain(
             &small_cfg(BatchPolicy::PaddedToLongest { max_batch: 16 }),
             &t,
         );
-        let bucketed = simulate_trace(
+        let bucketed = drain(
             &small_cfg(BatchPolicy::Bucketed {
                 max_batch: 16,
                 buckets: 4,
@@ -739,11 +698,11 @@ mod tests {
     }
 
     #[test]
-    fn simulate_trace_is_deterministic() {
+    fn drained_replay_is_deterministic() {
         let cfg = small_cfg(BatchPolicy::PaddingFree { token_budget: 1024 });
         let t = trace();
-        let a = simulate_trace(&cfg, &t);
-        let mut b = simulate_trace(&cfg, &t);
+        let a = drain(&cfg, &t);
+        let mut b = drain(&cfg, &t);
         // Cache misses charge the *modelled* Algorithm-1 search cost, so
         // GPU time — and with it the whole report — repeats bit-for-bit.
         // The host wall clock is the one measured quantity left.
@@ -767,7 +726,7 @@ mod tests {
     #[test]
     fn shape_classes_keep_the_jit_cache_hot() {
         let cfg = small_cfg(BatchPolicy::PaddingFree { token_budget: 2048 });
-        let report = simulate_trace(&cfg, &trace());
+        let report = drain(&cfg, &trace());
         let lookups = report.cache.hits + report.cache.misses;
         assert_eq!(lookups, report.batches as u64);
         // Budget-packed batches land in few 32-token shape classes, so
@@ -782,7 +741,7 @@ mod tests {
         cfg.cache_capacity = 1;
         // Wildly varying lengths force a new padded shape class per batch.
         let t: Vec<usize> = (1..=24).map(|i| i * 37).collect();
-        let report = simulate_trace(&cfg, &t);
+        let report = drain(&cfg, &t);
         assert!(report.cache.evictions > 0);
     }
 

@@ -34,7 +34,7 @@ use crate::expo::{Exposition, MetricKind, Sample};
 use crate::ledger::{DeviceLedger, StepSample};
 use crate::lifecycle::{LatencySample, LatencySketches, LifecycleFold};
 use crate::sink::{TraceEvent, RESERVED_LANES};
-use crate::slo::{SloMonitor, SloReport, SloTarget};
+use crate::slo::{SloMonitor, SloReport, SloTarget, SloWindowReport};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 
@@ -110,7 +110,9 @@ pub struct HubSeriesWindow {
     pub itl_p95_s: f64,
     /// End-to-end completions' p50 in the window.
     pub e2e_p50_s: f64,
-    /// Window burn rate against the configured SLO (0 without one).
+    /// Window burn rate against the configured SLO (0 without one), as
+    /// the embedded [`SloMonitor`] reports it: rejections count as TTFT
+    /// misses.
     pub burn_rate: f64,
     /// Wait seconds attributed per typed cause in the window.
     pub waits_s: BTreeMap<String, f64>,
@@ -143,8 +145,6 @@ struct HubWindow {
     finished: u64,
     preemptions: u64,
     kv_occupancy_peak: f64,
-    ttft_ok: u64,
-    itl_ok: u64,
     waits_s: BTreeMap<String, f64>,
 }
 
@@ -162,27 +162,11 @@ impl HubWindow {
             finished: 0,
             preemptions: 0,
             kv_occupancy_peak: 0.0,
-            ttft_ok: 0,
-            itl_ok: 0,
             waits_s: BTreeMap::new(),
         }
     }
 
-    fn digest(&self, window_s: f64, slo: Option<&SloTarget>) -> HubSeriesWindow {
-        let burn_rate = slo
-            .map(|t| {
-                let att = |ok: u64, total: u64| {
-                    if total == 0 {
-                        1.0
-                    } else {
-                        ok as f64 / total as f64
-                    }
-                };
-                let worst = att(self.ttft_ok, self.latency.ttft.count())
-                    .min(att(self.itl_ok, self.latency.itl.count()));
-                (1.0 - worst) / (1.0 - t.objective)
-            })
-            .unwrap_or(0.0);
+    fn digest(&self, window_s: f64, slo: Option<&SloWindowReport>) -> HubSeriesWindow {
         HubSeriesWindow {
             index: self.index,
             start_s: self.index as f64 * window_s,
@@ -202,7 +186,7 @@ impl HubWindow {
             itl_p50_s: self.latency.itl.quantile(0.50),
             itl_p95_s: self.latency.itl.quantile(0.95),
             e2e_p50_s: self.latency.e2e.quantile(0.50),
-            burn_rate,
+            burn_rate: slo.map_or(0.0, |w| w.burn_rate),
             waits_s: self.waits_s.clone(),
         }
     }
@@ -243,7 +227,6 @@ struct HubState {
 pub struct MetricsHub {
     window_s: f64,
     ring_capacity: usize,
-    slo_target: Option<SloTarget>,
     counters: [Mutex<BTreeMap<String, f64>>; COUNTER_SHARDS],
     gauges: Mutex<BTreeMap<String, f64>>,
     state: Mutex<HubState>,
@@ -273,7 +256,6 @@ impl MetricsHub {
         MetricsHub {
             window_s: cfg.window_s,
             ring_capacity: cfg.ring_capacity,
-            slo_target: cfg.slo,
             counters: Default::default(),
             gauges: Mutex::new(BTreeMap::new()),
             state: Mutex::new(HubState {
@@ -460,14 +442,7 @@ impl MetricsHub {
         if let Some(d) = st.drift.as_mut() {
             d.record(t_s, sample);
         }
-        let target = self.slo_target;
-        let w = self.window_mut(st, t_s);
-        w.latency.record(sample);
-        match sample {
-            LatencySample::Ttft(v) => w.ttft_ok += u64::from(target.is_some_and(|t| v <= t.ttft_s)),
-            LatencySample::Itl(v) => w.itl_ok += u64::from(target.is_some_and(|t| v <= t.itl_s)),
-            LatencySample::E2e(_) | LatencySample::Rejected => {}
-        }
+        self.window_mut(st, t_s).latency.record(sample);
     }
 
     /// The window holding `t_s`, growing the ring forward (and evicting
@@ -677,15 +652,20 @@ impl MetricsHub {
     }
 
     /// The window ring digested oldest-first (the `GET /series` body).
+    /// Each window's burn rate is the SLO monitor's for the same window.
     pub fn series(&self) -> HubSeries {
         let st = self.state.lock().expect("hub state");
+        let slo = st
+            .slo
+            .as_ref()
+            .map_or_else(Vec::new, |m| m.report(None).windows);
         HubSeries {
             window_s: self.window_s,
             dropped: st.dropped_windows,
             windows: st
                 .ring
                 .iter()
-                .map(|w| w.digest(self.window_s, self.slo_target.as_ref()))
+                .map(|w| w.digest(self.window_s, slo.get(w.index as usize)))
                 .collect(),
         }
     }
@@ -737,14 +717,20 @@ mod tests {
             },
         );
         hub.on_record(0.65, 3, &TraceEvent::Finished);
+        // A rejection is a TTFT miss with no latency value.
+        hub.on_record(0.7, 4, &TraceEvent::Rejected);
         let r = hub.slo_report().expect("slo configured");
-        assert_eq!(r.windows[0].ttft_total, 1);
+        assert_eq!(r.windows[0].ttft_total, 2);
         assert_eq!(r.windows[0].ttft_ok, 1, "0.4s ttft within 0.5s target");
         assert_eq!(r.windows[0].itl_total, 1);
         let series = hub.series();
         assert_eq!(series.windows.len(), 1);
         assert_eq!(series.windows[0].finished, 1);
-        assert_eq!(series.windows[0].ttft_count, 1);
+        assert_eq!(series.windows[0].rejected, 1);
+        assert_eq!(series.windows[0].ttft_count, 1, "sketches hold values");
+        // `/series` and `/slo` judge each window the same way.
+        assert!(r.windows[0].burn_rate > 0.0, "the rejection burns budget");
+        assert_eq!(series.windows[0].burn_rate, r.windows[0].burn_rate);
         let expo = hub.exposition();
         let rendered = expo.render();
         let parsed = crate::expo::parse_exposition(&rendered).expect("round-trips");

@@ -363,6 +363,30 @@ fn every_consumer_folds_the_report_latencies() {
             "{name}"
         );
 
+        // Step records and the hub's token counters count the report's
+        // real rows: no padding, no rework left out.
+        let (prefill_rows, decode_slots) = records.iter().fold((0, 0), |(p, d), r| match r.event {
+            TraceEvent::Step {
+                prefill_rows,
+                decode_slots,
+                ..
+            } => (p + prefill_rows, d + decode_slots),
+            _ => (p, d),
+        });
+        assert_eq!(prefill_rows, report.prefill_tokens, "{name}: step prefill");
+        assert_eq!(decode_slots, report.decode_tokens, "{name}: step decode");
+        let counters = counter_values(&hub.render());
+        for (counter, tokens) in [
+            ("pit_hub_prefill_tokens_total{}", report.prefill_tokens),
+            ("pit_hub_decode_tokens_total{}", report.decode_tokens),
+        ] {
+            assert_eq!(
+                counters.get(counter).copied(),
+                Some(tokens as f64),
+                "{name}: {counter}"
+            );
+        }
+
         let live = hub.exposition();
         for (family, sketch) in [
             ("pit_hub_ttft_seconds", &folded.ttft),
