@@ -790,9 +790,11 @@ pub fn simulate_decode_trace_traced(
 /// [`simulate_decode_trace_traced`] that additionally captures the
 /// `exemplar_k` worst request timelines per tail metric (TTFT, max ITL,
 /// e2e) and publishes live metrics into a [`MetricsHub`] as the replay
-/// runs — lifecycle events, per-step ledger charges and KV occupancy at
-/// step granularity, so a concurrently attached
-/// [`pit_trace::ScrapeServer`] observes the run mid-flight.
+/// runs — lifecycle events and KV occupancy at step granularity, and the
+/// report so far as the hub's `/metrics` snapshot once per hub window,
+/// so a concurrently attached [`pit_trace::ScrapeServer`] observes the
+/// run mid-flight. The returned report's exposition is the final
+/// snapshot, so the finished run's scrape begins with it byte for byte.
 ///
 /// The exemplar buffers live outside the sink, so the tail is observable
 /// even with tracing disabled or head-sampled; `exemplar_k == 0`
@@ -827,10 +829,8 @@ pub fn simulate_decode_trace_observed(
             prefix_hit: false,
         })
         .collect();
-    let mut rec = Recorder::new(sink, exemplar_k, hub);
-
-    let swap = matches!(cfg.preempt, PreemptPolicy::SwapToHost);
-    let mut name = cfg.policy.name().to_string();
+    let name = report_name(cfg);
+    let mut rec = Recorder::new(&name, sink, exemplar_k, hub);
     match cfg.policy {
         DecodePolicy::ContinuousPaddingFree { token_budget } => {
             if cfg.prefix_caching {
@@ -840,16 +840,6 @@ pub fn simulate_decode_trace_observed(
                     "prefix caching needs prompt token ids on every request \
                      (build the trace with SharedPrefixSpec::decode_trace)"
                 );
-            }
-            name = match (cfg.prefix_caching, swap) {
-                (false, false) => name,
-                (true, false) => "continuous-prefix-cached".to_string(),
-                (false, true) => "continuous-swap-to-host".to_string(),
-                (true, true) => "continuous-prefix-cached-swap".to_string(),
-            };
-            if !cfg.kv_sparsity.is_dense() {
-                name.push('+');
-                name.push_str(cfg.kv_sparsity.name());
             }
             run_continuous(SchedState::new(
                 cfg,
@@ -879,13 +869,30 @@ pub fn simulate_decode_trace_observed(
         agg.fold_spans(&blame_spans(&records));
         metrics.set_blame(agg.summary());
     }
+    let report = metrics.report(&name, kv.stats(), CacheStats::of(&cache));
     if let Some(h) = hub {
+        h.publish_final(report.exposition());
         h.finish();
     }
-    (
-        metrics.report(&name, kv.stats(), CacheStats::of(&cache)),
-        exemplars,
-    )
+    (report, exemplars)
+}
+
+/// The report's policy name: the decode policy's, refined by the
+/// prefix-caching, swap and KV-sparsity options (the builder rejects all
+/// three for the static policy).
+fn report_name(cfg: &DecodeServeConfig) -> String {
+    let swap = matches!(cfg.preempt, PreemptPolicy::SwapToHost);
+    let mut name = match (cfg.prefix_caching, swap) {
+        (false, false) => cfg.policy.name().to_string(),
+        (true, false) => "continuous-prefix-cached".to_string(),
+        (false, true) => "continuous-swap-to-host".to_string(),
+        (true, true) => "continuous-prefix-cached-swap".to_string(),
+    };
+    if !cfg.kv_sparsity.is_dense() {
+        name.push('+');
+        name.push_str(cfg.kv_sparsity.name());
+    }
+    name
 }
 
 /// The loop's single observation point: each fact is one call that
@@ -899,6 +906,8 @@ pub fn simulate_decode_trace_observed(
 /// is a plain forward.
 struct Recorder<'a> {
     metrics: DecodeMetrics,
+    /// The report's policy name, for hub snapshots.
+    policy: &'a str,
     sink: &'a TraceSink,
     reservoir: ExemplarReservoir,
     timelines: BTreeMap<u64, Vec<TraceRecord>>,
@@ -909,9 +918,15 @@ struct Recorder<'a> {
 }
 
 impl<'a> Recorder<'a> {
-    fn new(sink: &'a TraceSink, exemplar_k: usize, hub: Option<&'a MetricsHub>) -> Self {
+    fn new(
+        policy: &'a str,
+        sink: &'a TraceSink,
+        exemplar_k: usize,
+        hub: Option<&'a MetricsHub>,
+    ) -> Self {
         Recorder {
             metrics: DecodeMetrics::new(),
+            policy,
             sink,
             reservoir: ExemplarReservoir::new(exemplar_k),
             timelines: BTreeMap::new(),
@@ -921,7 +936,7 @@ impl<'a> Recorder<'a> {
     }
 
     /// One executed step completing at `t_s`: the report counts
-    /// `prefill`/`decode` real rows of `processed`, both ledgers take the
+    /// `prefill`/`decode` real rows of `processed`, the ledger takes the
     /// sample's category split, the hub the post-step KV occupancy, and
     /// the device lane a `Step` record of the same real rows.
     fn step(
@@ -943,8 +958,7 @@ impl<'a> Recorder<'a> {
             kv.fragmentation(),
         );
         if let Some(h) = self.hub {
-            h.charge_step(sample);
-            h.set_kv_occupancy(kv.occupancy());
+            h.set_kv_occupancy(t_s, kv.occupancy());
         }
         self.record(
             t_s,
@@ -957,27 +971,18 @@ impl<'a> Recorder<'a> {
         );
     }
 
-    /// Charges seconds the device sat idle.
-    fn idle(&mut self, seconds: f64) {
-        self.metrics.charge_idle(seconds);
+    /// Hands the hub the report so far at an iteration boundary after
+    /// commit (where recompute rework has left the goodput counters, so
+    /// snapshots never go backwards), built by the same
+    /// [`DecodeReport::exposition`] as the final report. The hub builds
+    /// at most once per window.
+    fn publish(&self, t_s: f64, kv: &PagedKvCache, cache: &JitCache) {
         if let Some(h) = self.hub {
-            h.charge_idle(seconds);
-        }
-    }
-
-    /// Charges seconds the loop stalled behind an eviction DMA.
-    fn d2h_stall(&mut self, seconds: f64) {
-        self.metrics.charge_d2h_stall(seconds);
-        if let Some(h) = self.hub {
-            h.charge_d2h_stall(seconds);
-        }
-    }
-
-    /// Charges seconds the loop stalled waiting for a restore to land.
-    fn h2d_stall(&mut self, seconds: f64) {
-        self.metrics.charge_h2d_stall(seconds);
-        if let Some(h) = self.hub {
-            h.charge_h2d_stall(seconds);
+            h.publish(t_s, || {
+                self.metrics
+                    .report(self.policy, kv.stats(), CacheStats::of(cache))
+                    .exposition()
+            });
         }
     }
 
@@ -1147,6 +1152,7 @@ impl<'a, 'r> SchedState<'a, 'r> {
         }
         let shape = self.execute_step();
         self.commit(&shape.decode);
+        self.rec.publish(self.clock_s, self.kv, self.cache);
         if self.cfg.verify_invariants {
             self.kv
                 .check_invariants()
@@ -1224,9 +1230,9 @@ impl<'a, 'r> SchedState<'a, 'r> {
         let next = arrival.min(restore);
         if next.is_finite() && next > self.clock_s {
             if restore <= arrival {
-                self.rec.h2d_stall(next - self.clock_s);
+                self.rec.metrics.charge_h2d_stall(next - self.clock_s);
             } else {
-                self.rec.idle(next - self.clock_s);
+                self.rec.metrics.charge_idle(next - self.clock_s);
             }
             self.clock_s = next;
         }
@@ -1491,7 +1497,7 @@ impl<'a, 'r> SchedState<'a, 'r> {
             self.preempt(victim, false);
         } else if let Some(ready) = self.restoring.next_ready_s() {
             if ready > self.clock_s {
-                self.rec.h2d_stall(ready - self.clock_s);
+                self.rec.metrics.charge_h2d_stall(ready - self.clock_s);
                 self.clock_s = ready;
                 // The whole scheduler waited out the transfer; pin the
                 // wait on the blocked head — a stalled prefill, or an
@@ -1756,7 +1762,9 @@ impl<'a, 'r> SchedState<'a, 'r> {
                 self.clock_s = eng.swap_out(initiated_s, plan.len());
                 // The eviction DMA gates the reclaiming step: the clock
                 // advance is a d2h stall on the ledger.
-                self.rec.d2h_stall(self.clock_s - initiated_s);
+                self.rec
+                    .metrics
+                    .charge_d2h_stall(self.clock_s - initiated_s);
                 self.rec.metrics.record_swap_preempt(saved);
                 let policy = "swap-to-host";
                 self.rec
@@ -1833,7 +1841,7 @@ fn run_static(
 
     while let Some(head) = waiting.front() {
         if head.arrival_s > clock_s {
-            rec.idle(head.arrival_s - clock_s);
+            rec.metrics.charge_idle(head.arrival_s - clock_s);
             clock_s = head.arrival_s;
         }
         let mut batch: Vec<Seq> = Vec::new();
@@ -1861,6 +1869,7 @@ fn run_static(
             rec.emit_token(clock_s, s, TraceEvent::FirstToken);
             kv.extend(s.id, 1).expect("inside reservation");
         }
+        rec.publish(clock_s, kv, cache);
 
         // Decode the rectangle to the longest output. Finished slots stay
         // in the batch as padding rows, and — as in fixed-shape inference
@@ -1888,6 +1897,7 @@ fn run_static(
                 rec.emit_token(clock_s, s, event);
                 kv.extend(s.id, 1).expect("inside reservation");
             }
+            rec.publish(clock_s, kv, cache);
         }
 
         // The rectangle completes as one unit; only now do its pages free.
@@ -2751,7 +2761,7 @@ mod tests {
         let cfg = phase_cfg(5, PreemptPolicy::Recompute);
         let mut kv = PagedKvCache::new(cfg.kv_config());
         let (cache, sink) = (JitCache::with_capacity(4), TraceSink::disabled());
-        let mut rec = Recorder::new(&sink, 0, None);
+        let mut rec = Recorder::new("test", &sink, 0, None);
         let mut st = SchedState::new(&cfg, 256, VecDeque::new(), &[], &mut kv, &cache, &mut rec);
         // Three decoders on a page boundary, each owed a fresh page, and
         // three prefills of which 3 and 5 hold a page: the pool is full.
@@ -2796,7 +2806,7 @@ mod tests {
         ] {
             let mut kv = PagedKvCache::new(cfg.kv_config());
             kv.alloc(99, held).expect("fits the pool");
-            let mut rec = Recorder::new(&sink, 0, None);
+            let mut rec = Recorder::new("test", &sink, 0, None);
             let mut st =
                 SchedState::new(&cfg, 256, VecDeque::new(), &[], &mut kv, &cache, &mut rec);
             st.prefilling = queue();
@@ -2818,7 +2828,7 @@ mod tests {
         let mut victim = seq(0, 0.0, 31, 100);
         (victim.generated, victim.prefilled) = (1, 32);
         let (cache, sink) = (JitCache::with_capacity(4), TraceSink::disabled());
-        let mut rec = Recorder::new(&sink, 0, None);
+        let mut rec = Recorder::new("test", &sink, 0, None);
         // An arrival whose first chunk needs all three frames.
         let waiting = VecDeque::from([seq(1, 0.0, 32, 8)]);
         let mut st = SchedState::new(&cfg, 256, waiting, &[], &mut kv, &cache, &mut rec);

@@ -81,7 +81,11 @@
 //! event. Consumers that read latencies back off the records share
 //! `pit_trace::LifecycleFold`, which counts exactly the report's TTFT /
 //! ITL / e2e samples; [`serve_trace_arrivals_observed`] feeds the same
-//! fold through `Step`, `FirstToken` and `Finished` records.
+//! fold through `Step`, `FirstToken` and `Finished` records. The hub
+//! counts nothing the report counts: both loops hand it snapshots of
+//! their own report's exposition (at most one build per hub window, then
+//! the final report), so a finished run's `/metrics` scrape is its
+//! `METRICS_*.prom` document followed by the hub's live-only gauges.
 
 pub mod decode;
 pub mod metrics;

@@ -319,7 +319,7 @@ impl ServingReport {
         if let Some(b) = &self.blame {
             blame_exposition(&mut out, b);
         }
-        ledger_exposition(&mut out, &self.ledger);
+        self.ledger.exposition_into(&mut out);
         out
     }
 }
@@ -342,13 +342,6 @@ fn blame_exposition(out: &mut Exposition, blame: &BlameSummary) {
             Some(c.requests),
         );
     }
-}
-
-/// Appends the device-time ledger's families to an exposition (shared by
-/// both report kinds; the family set lives on [`DeviceLedger`] so the
-/// live metrics hub emits the identical names).
-fn ledger_exposition(out: &mut Exposition, ledger: &DeviceLedger) {
-    ledger.exposition_into(out);
 }
 
 impl fmt::Display for ServingReport {
@@ -647,8 +640,8 @@ impl DecodeMetrics {
         self.blame = Some(blame);
     }
 
-    /// Freezes the collector into a report.
-    pub fn report(self, policy: &str, kv: pit_kv::KvStats, cache: CacheStats) -> DecodeReport {
+    /// The report so far: mid-run for live snapshots, or the final one.
+    pub fn report(&self, policy: &str, kv: pit_kv::KvStats, cache: CacheStats) -> DecodeReport {
         let n = self.iterations.max(1) as f64;
         DecodeReport {
             policy: policy.to_string(),
@@ -687,10 +680,10 @@ impl DecodeMetrics {
             kv_peak_occupancy: self.occupancy_peak,
             kv_mean_fragmentation: self.fragmentation_sum / n,
             breakdown: self.breakdown,
-            blame: self.blame,
+            blame: self.blame.clone(),
             cache,
             utilization: self.ledger.utilization(),
-            ledger: self.ledger,
+            ledger: self.ledger.clone(),
         }
     }
 }
@@ -939,7 +932,7 @@ impl DecodeReport {
         if let Some(b) = &self.blame {
             blame_exposition(&mut out, b);
         }
-        ledger_exposition(&mut out, &self.ledger);
+        self.ledger.exposition_into(&mut out);
         out
     }
 }

@@ -246,9 +246,13 @@ pub fn batch_step_sample(cfg: &ServeConfig, formed: &FormedBatch, cache: &JitCac
 
 /// Worker-thread body shared by the closed- and open-loop runtimes: pops
 /// formed batches, prices them on the analytic engine, records metrics and
-/// completes every request in the batch.
+/// completes every request in the batch. With a hub attached, each batch
+/// is a device-lane `Step` record, each completion `FirstToken` +
+/// `Finished` on the request's lane, and the report so far a hub
+/// snapshot.
 fn worker_loop(
     cfg: &ServeConfig,
+    admission: &BoundedQueue<Request>,
     batches: &BoundedQueue<WorkItem>,
     cache: &JitCache,
     metrics: &Metrics,
@@ -261,7 +265,6 @@ fn worker_loop(
         metrics.charge_step(&sample);
         let t_s = started.elapsed().as_secs_f64();
         if let Some(h) = hub {
-            h.charge_step(&sample);
             h.on_record(
                 t_s,
                 DEVICE_LANE,
@@ -270,14 +273,6 @@ fn worker_loop(
                     decode_slots: 0,
                     gpu_s: sample.gpu_s,
                 },
-            );
-            h.add(
-                "pit_hub_batch_real_tokens_total",
-                item.formed.real_tokens as f64,
-            );
-            h.add(
-                "pit_hub_batch_padded_tokens_total",
-                item.formed.padded_tokens as f64,
             );
         }
         for r in item.requests {
@@ -290,7 +285,28 @@ fn worker_loop(
             }
             let _ = r.done.send(());
         }
+        if let Some(h) = hub {
+            h.publish(t_s, || {
+                run_report(cfg, admission, cache, metrics, started).exposition()
+            });
+        }
     }
+}
+
+/// The threaded run's report so far.
+fn run_report(
+    cfg: &ServeConfig,
+    admission: &BoundedQueue<Request>,
+    cache: &JitCache,
+    metrics: &Metrics,
+    started: Instant,
+) -> ServingReport {
+    metrics.report(
+        cfg.policy.name(),
+        started.elapsed().as_secs_f64(),
+        admission.high_water(),
+        CacheStats::of(cache),
+    )
 }
 
 /// Scheduler-thread body shared by the closed- and open-loop runtimes:
@@ -354,7 +370,7 @@ pub fn serve_trace(cfg: &ServeConfig, trace: &[usize]) -> ServingReport {
 
     thread::scope(|s| {
         for _ in 0..cfg.workers.max(1) {
-            s.spawn(|| worker_loop(cfg, &batches, &cache, &metrics, None, started));
+            s.spawn(|| worker_loop(cfg, &admission, &batches, &cache, &metrics, None, started));
         }
         s.spawn(|| scheduler_loop(cfg, &admission, &batches, min_fill));
 
@@ -385,12 +401,7 @@ pub fn serve_trace(cfg: &ServeConfig, trace: &[usize]) -> ServingReport {
         admission.close();
     });
 
-    metrics.report(
-        cfg.policy.name(),
-        started.elapsed().as_secs_f64(),
-        admission.high_water(),
-        CacheStats::of(&cache),
-    )
+    run_report(cfg, &admission, &cache, &metrics, started)
 }
 
 /// Exact causal tiling of one batch-served request's latency: its own
@@ -434,13 +445,15 @@ pub fn serve_trace_arrivals(cfg: &ServeConfig, trace: &ArrivalTrace) -> ServingR
 /// [`serve_trace_arrivals`] that additionally publishes live metrics into
 /// a [`MetricsHub`] while the threaded replay runs: the submitter
 /// publishes admissions, rejections and the live queue-depth gauge on the
-/// trace clock; workers publish each batch as a ledger charge plus a
-/// device-lane `Step` record, and each completion as `FirstToken` +
-/// `Finished` on the request's lane, on the wall clock since run start
-/// (the two clocks coincide while the submitter keeps schedule) — the
-/// hub's lifecycle fold turns those into TTFT/e2e observations.
-/// The hub is write-only for every thread — no publisher reads it — so a
-/// concurrent scraper never perturbs scheduling decisions.
+/// trace clock; workers publish each batch as a device-lane `Step`
+/// record, each completion as `FirstToken` + `Finished` on the request's
+/// lane, on the wall clock since run start (the two clocks coincide
+/// while the submitter keeps schedule) — the hub's lifecycle fold turns
+/// those into TTFT/e2e observations — and the [`ServingReport`] so far
+/// as the hub's `/metrics` snapshot. The returned report's exposition is
+/// the final snapshot. The hub is write-only for every thread — no
+/// publisher reads it — so a concurrent scraper never perturbs
+/// scheduling decisions.
 pub fn serve_trace_arrivals_observed(
     cfg: &ServeConfig,
     trace: &ArrivalTrace,
@@ -455,7 +468,7 @@ pub fn serve_trace_arrivals_observed(
 
     let windows = thread::scope(|s| {
         for _ in 0..cfg.workers.max(1) {
-            s.spawn(|| worker_loop(cfg, &batches, &cache, &metrics, hub, started));
+            s.spawn(|| worker_loop(cfg, &admission, &batches, &cache, &metrics, hub, started));
         }
         s.spawn(|| scheduler_loop(cfg, &admission, &batches, min_fill));
 
@@ -486,7 +499,7 @@ pub fn serve_trace_arrivals_observed(
                             i as u64,
                             &TraceEvent::Admitted { arrival_s: arrival },
                         );
-                        h.set_gauge("pit_hub_admission_queue_depth", depth as f64);
+                        h.set_queue_depth(depth);
                     }
                 };
                 match cfg.admission {
@@ -525,17 +538,12 @@ pub fn serve_trace_arrivals_observed(
         admission.close();
         windows
     });
+    let mut report = run_report(cfg, &admission, &cache, &metrics, started);
+    report.windows = windows.map(WindowSeries::into_stats);
     if let Some(h) = hub {
+        h.publish_final(report.exposition());
         h.finish();
     }
-
-    let mut report = metrics.report(
-        cfg.policy.name(),
-        started.elapsed().as_secs_f64(),
-        admission.high_water(),
-        CacheStats::of(&cache),
-    );
-    report.windows = windows.map(WindowSeries::into_stats);
     report
 }
 

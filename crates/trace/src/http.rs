@@ -219,6 +219,9 @@ mod tests {
         hub.on_record(0.1, 5, &TraceEvent::Admitted { arrival_s: 0.0 });
         hub.on_record(0.3, 5, &TraceEvent::FirstToken);
         hub.on_record(0.4, 5, &TraceEvent::Finished);
+        let mut report = crate::expo::Exposition::new();
+        report.counter("pit_requests_total", "Requests served", 1.0);
+        hub.publish_final(report.clone());
         let server = ScrapeServer::bind(hub, "127.0.0.1:0").expect("bind");
         let addr = server.local_addr();
 
@@ -226,6 +229,7 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         let parsed = crate::expo::parse_exposition(&body).expect("scrape parses");
         assert_eq!(parsed.render(), body, "render ∘ parse is the identity");
+        assert!(body.starts_with(&report.render()), "the report leads");
 
         let (head, body) = get(addr, "/slo");
         assert!(head.starts_with("HTTP/1.1 200 OK"));

@@ -5,11 +5,11 @@
 //! alarms) available *post hoc*, in end-of-run reports. The
 //! [`MetricsHub`] moves the same machinery online: publishers (the
 //! decode loop, the threaded runtime's workers and submitter) stream
-//! lifecycle events, step samples and gauges into the hub at step
-//! granularity, and readers (the [`crate::http`] scrape server, tests,
-//! `pit_top`) take consistent snapshots at any moment — an
-//! [`Exposition`] for `GET /metrics`, an [`SloReport`] with live drift
-//! alarms for `GET /slo`, and a bounded ring of per-window digests for
+//! lifecycle events, report snapshots and gauges into the hub, and
+//! readers (the [`crate::http`] scrape server, tests, `pit_top`) take
+//! consistent snapshots at any moment — an [`Exposition`] for
+//! `GET /metrics`, an [`SloReport`] with live drift alarms for
+//! `GET /slo`, and a bounded ring of per-window digests for
 //! `GET /series`.
 //!
 //! Three design rules keep observation from perturbing the run:
@@ -19,10 +19,13 @@
 //!    report is byte-identical to a hub-free one (asserted in the
 //!    integration tests, same discipline as the trace sink's
 //!    "tracing perturbs nothing" checks).
-//! 2. **Hot counters are sharded.** Counter/gauge increments hash the
-//!    publishing thread onto one of [`COUNTER_SHARDS`] independently
-//!    locked maps, so the threaded runtime's workers never contend with
-//!    each other — readers merge the shards on scrape.
+//! 2. **The hub renders the publisher's report.** It counts nothing the
+//!    report counts: publishers hand it their report's own
+//!    [`Exposition`] ([`MetricsHub::publish`], at most one build per
+//!    window, and [`MetricsHub::publish_final`] at end of run), and
+//!    `/metrics` renders that snapshot followed by a fixed block of
+//!    live-only `pit_hub_*` gauges. A finished run's scrape therefore
+//!    begins with its `METRICS_*.prom` document byte for byte.
 //! 3. **Windowed state evaluates inside the hub.** Each observation
 //!    lands in a fixed-width window on the publisher's clock; the
 //!    embedded [`SloMonitor`] and [`DriftDetector`] fold the same
@@ -30,18 +33,12 @@
 //!    current *mid-run* instead of materialising at the end.
 
 use crate::drift::{DriftAlarm, DriftBaseline, DriftDetector, DriftPolicy};
-use crate::expo::{Exposition, MetricKind, Sample};
-use crate::ledger::{DeviceLedger, StepSample};
+use crate::expo::Exposition;
 use crate::lifecycle::{LatencySample, LatencySketches, LifecycleFold};
 use crate::sink::{TraceEvent, RESERVED_LANES};
 use crate::slo::{SloMonitor, SloReport, SloTarget, SloWindowReport};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Mutex;
-
-/// Number of independently locked counter/gauge shards; publishers hash
-/// their thread id to pick one, so same-thread publishes never contend
-/// across threads.
-pub const COUNTER_SHARDS: usize = 8;
+use std::sync::{Mutex, MutexGuard};
 
 /// How the hub windows, bounds and judges its live state.
 #[derive(Debug, Clone)]
@@ -192,16 +189,12 @@ impl HubWindow {
     }
 }
 
-/// Windowed state behind one mutex: the publisher clock orders these
-/// updates, so they share a critical section (publishers are the hot
-/// serving loop and readers are occasional scrapes — the counters, which
-/// fire far more often, live in the shards instead).
+/// Everything the hub holds, behind one mutex: the publisher clock orders
+/// these updates, and readers are occasional scrapes.
 #[derive(Debug)]
 struct HubState {
     /// The shared lifecycle fold turning published events into samples.
     fold: LifecycleFold,
-    /// Whole-run latency sketches (the `/metrics` summaries).
-    latency: LatencySketches,
     /// Window ring, oldest first, consecutive indices.
     ring: VecDeque<HubWindow>,
     dropped_windows: u64,
@@ -211,12 +204,16 @@ struct HubState {
     alarms: Vec<DriftAlarm>,
     /// Highest window index that has been rolled past (alarm cadence).
     alarmed_through: u64,
-    /// Live device-time ledger fed by `charge_step` / `charge_idle`.
-    ledger: DeviceLedger,
+    /// The publisher's latest report exposition (empty until the first
+    /// publish).
+    report: Exposition,
+    /// Window of the latest [`MetricsHub::publish`] build.
+    published_through: Option<u64>,
     /// Latest publisher timestamp seen.
     now_s: f64,
     kv_occupancy: f64,
     kv_occupancy_peak: f64,
+    queue_depth: usize,
     finished_run: bool,
 }
 
@@ -227,18 +224,7 @@ struct HubState {
 pub struct MetricsHub {
     window_s: f64,
     ring_capacity: usize,
-    counters: [Mutex<BTreeMap<String, f64>>; COUNTER_SHARDS],
-    gauges: Mutex<BTreeMap<String, f64>>,
     state: Mutex<HubState>,
-}
-
-fn shard_index() -> usize {
-    // Thread ids are unique and cheap to hash; the exact distribution
-    // does not matter, only that one thread always hits one shard.
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    std::thread::current().id().hash(&mut h);
-    (h.finish() as usize) % COUNTER_SHARDS
 }
 
 impl MetricsHub {
@@ -256,21 +242,20 @@ impl MetricsHub {
         MetricsHub {
             window_s: cfg.window_s,
             ring_capacity: cfg.ring_capacity,
-            counters: Default::default(),
-            gauges: Mutex::new(BTreeMap::new()),
             state: Mutex::new(HubState {
                 fold: LifecycleFold::new(),
-                latency: LatencySketches::default(),
                 ring: VecDeque::new(),
                 dropped_windows: 0,
                 slo,
                 drift,
                 alarms: Vec::new(),
                 alarmed_through: 0,
-                ledger: DeviceLedger::new(),
+                report: Exposition::new(),
+                published_through: None,
                 now_s: 0.0,
                 kv_occupancy: 0.0,
                 kv_occupancy_peak: 0.0,
+                queue_depth: 0,
                 finished_run: false,
             }),
         }
@@ -282,79 +267,32 @@ impl MetricsHub {
         Self::new(HubConfig::default())
     }
 
+    fn lock(&self) -> MutexGuard<'_, HubState> {
+        self.state.lock().expect("hub state")
+    }
+
+    fn window_index(&self, t_s: f64) -> u64 {
+        (t_s.max(0.0) / self.window_s) as u64
+    }
+
     // ------------------------------------------------------------------
     // Publisher side
     // ------------------------------------------------------------------
 
-    /// Adds `v` to the named monotone counter (sharded; lock-cheap).
-    pub fn add(&self, name: &str, v: f64) {
-        let mut shard = self.counters[shard_index()].lock().expect("hub shard");
-        match shard.get_mut(name) {
-            Some(e) => *e += v,
-            None => {
-                shard.insert(name.to_string(), v);
-            }
-        }
-    }
-
-    /// Sets the named gauge to `v`.
-    pub fn set_gauge(&self, name: &str, v: f64) {
-        let mut g = self.gauges.lock().expect("hub gauges");
-        match g.get_mut(name) {
-            Some(e) => *e = v,
-            None => {
-                g.insert(name.to_string(), v);
-            }
-        }
-    }
-
-    /// Publishes one lifecycle event at publisher-clock `t_s` on `lane`.
-    /// Latencies come from the shared [`LifecycleFold`], so a live hub
-    /// and a post-hoc `SloMonitor::observe` agree on every observation.
+    /// Publishes one lifecycle event at publisher-clock `t_s` on `lane`
+    /// into the `/series` ring and the SLO / drift judges. Latencies come
+    /// from the shared [`LifecycleFold`], so a live hub and a post-hoc
+    /// `SloMonitor::observe` agree on every observation.
     pub fn on_record(&self, t_s: f64, lane: u64, event: &TraceEvent) {
         match *event {
-            TraceEvent::Step {
-                prefill_rows,
-                decode_slots,
-                gpu_s,
-            } => {
-                self.add("pit_hub_steps_total", 1.0);
-                self.add("pit_hub_gpu_seconds_total", gpu_s);
-                self.add("pit_hub_prefill_tokens_total", prefill_rows as f64);
-                self.add("pit_hub_decode_tokens_total", decode_slots as f64);
-            }
+            TraceEvent::Step { .. } => {}
             // Transfers are stamped at their landing, which may lie ahead
-            // of the publisher's clock: count them, leave the clock alone.
-            TraceEvent::SwapOut { pages, .. } => {
-                self.add("pit_hub_swap_out_pages_total", pages as f64);
-                return;
-            }
-            TraceEvent::SwapIn { pages, .. } => {
-                self.add("pit_hub_swap_in_pages_total", pages as f64);
-                return;
-            }
+            // of the publisher's clock: leave the clock alone.
+            TraceEvent::SwapOut { .. } | TraceEvent::SwapIn { .. } => return,
             _ if lane >= RESERVED_LANES => return,
-            TraceEvent::PrefillChunk { tokens } => {
-                self.add("pit_hub_prefill_chunk_tokens_total", tokens as f64)
-            }
-            TraceEvent::PrefixHit { tokens, .. } => {
-                self.add("pit_hub_prefix_hit_tokens_total", tokens as f64)
-            }
-            TraceEvent::SparsityEvict { pages } => {
-                self.add("pit_hub_sparsity_evicted_pages_total", pages as f64)
-            }
-            TraceEvent::Admitted { .. } => self.add("pit_hub_admitted_total", 1.0),
-            TraceEvent::Rejected => self.add("pit_hub_rejected_total", 1.0),
-            TraceEvent::Finished => self.add("pit_hub_finished_total", 1.0),
-            TraceEvent::Preempted { .. } => self.add("pit_hub_preemptions_total", 1.0),
-            TraceEvent::Waiting { cause, since_s } => self.add_labelled(
-                "pit_hub_wait_seconds_total",
-                cause.name(),
-                (t_s - since_s).max(0.0),
-            ),
-            TraceEvent::FirstToken | TraceEvent::DecodeStep { .. } => {}
+            _ => {}
         }
-        let mut st = self.state.lock().expect("hub state");
+        let mut st = self.lock();
         st.now_s = st.now_s.max(t_s);
         match *event {
             TraceEvent::Step {
@@ -387,55 +325,58 @@ impl MetricsHub {
         self.roll_alarms(&mut st);
     }
 
-    /// Charges one step's category split into the hub's live ledger.
-    pub fn charge_step(&self, sample: &StepSample) {
-        let mut st = self.state.lock().expect("hub state");
-        st.ledger.charge_step(sample);
+    /// Stores a snapshot of the publisher's report, running `build` at
+    /// most once per newly entered window: the first publish at or past a
+    /// window not yet published builds, later ones in that window return
+    /// at once. `build` runs under the hub lock, so concurrent publishers
+    /// store their snapshots in lock order and an older one never
+    /// replaces a newer one.
+    pub fn publish(&self, t_s: f64, build: impl FnOnce() -> Exposition) {
+        let idx = self.window_index(t_s);
+        let mut st = self.lock();
+        if st.published_through.is_some_and(|w| idx <= w) {
+            return;
+        }
+        st.published_through = Some(idx);
+        st.report = build();
     }
 
-    /// Charges idle seconds into the hub's live ledger.
-    pub fn charge_idle(&self, seconds: f64) {
-        let mut st = self.state.lock().expect("hub state");
-        st.ledger.charge_idle(seconds);
+    /// Stores the run's final report exposition unconditionally; call it
+    /// with the returned report's [`Exposition`] before [`Self::finish`].
+    pub fn publish_final(&self, report: Exposition) {
+        self.lock().report = report;
     }
 
-    /// Charges a device-to-host swap stall into the hub's live ledger.
-    pub fn charge_d2h_stall(&self, seconds: f64) {
-        let mut st = self.state.lock().expect("hub state");
-        st.ledger.charge_d2h_stall(seconds);
-    }
-
-    /// Charges a host-to-device restore stall into the hub's live ledger.
-    pub fn charge_h2d_stall(&self, seconds: f64) {
-        let mut st = self.state.lock().expect("hub state");
-        st.ledger.charge_h2d_stall(seconds);
-    }
-
-    /// Publishes the live KV occupancy gauge (also tracked per window).
-    pub fn set_kv_occupancy(&self, occupancy: f64) {
-        let mut st = self.state.lock().expect("hub state");
+    /// Publishes the live KV occupancy gauge at publisher-clock `t_s`
+    /// (also tracked as the peak of `t_s`'s window).
+    pub fn set_kv_occupancy(&self, t_s: f64, occupancy: f64) {
+        let mut st = self.lock();
+        st.now_s = st.now_s.max(t_s);
         st.kv_occupancy = occupancy;
         st.kv_occupancy_peak = st.kv_occupancy_peak.max(occupancy);
-        let t_s = st.now_s;
         let w = self.window_mut(&mut st, t_s);
         w.kv_occupancy_peak = w.kv_occupancy_peak.max(occupancy);
+    }
+
+    /// Publishes the live admission-queue depth gauge.
+    pub fn set_queue_depth(&self, depth: usize) {
+        self.lock().queue_depth = depth;
     }
 
     /// Marks the run complete: seals the open window into the alarm
     /// evaluation and flips the `pit_hub_run_complete` gauge. Scrapes
     /// keep working after this — the endpoint outlives the replay.
     pub fn finish(&self) {
-        let mut st = self.state.lock().expect("hub state");
+        let mut st = self.lock();
         st.finished_run = true;
         if let Some(d) = st.drift.as_ref() {
             st.alarms = d.alarms();
         }
     }
 
-    /// Feeds one folded sample to the whole-run sketches, the SLO
-    /// monitor, the drift detector and the sample's window.
+    /// Feeds one folded sample to the SLO monitor, the drift detector
+    /// and the sample's window.
     fn observe_locked(&self, st: &mut HubState, t_s: f64, sample: LatencySample) {
-        st.latency.record(sample);
         if let Some(m) = st.slo.as_mut() {
             m.record(t_s, sample);
         }
@@ -450,7 +391,7 @@ impl MetricsHub {
     /// Straggler timestamps older than the ring land in the oldest
     /// retained window rather than being dropped.
     fn window_mut<'s>(&self, st: &'s mut HubState, t_s: f64) -> &'s mut HubWindow {
-        let idx = (t_s.max(0.0) / self.window_s) as u64;
+        let idx = self.window_index(t_s);
         if st.ring.is_empty() {
             st.ring.push_back(HubWindow::new(idx));
         }
@@ -485,98 +426,59 @@ impl MetricsHub {
         }
     }
 
-    fn add_labelled(&self, family: &str, label: &str, v: f64) {
-        // Encoded as "family\u{1}label" in the shard map; the exposition
-        // renderer splits it back into a labelled sample.
-        self.add(&format!("{family}\u{1}{label}"), v);
-    }
-
     // ------------------------------------------------------------------
     // Reader side
     // ------------------------------------------------------------------
 
-    /// Merges the counter shards into one sorted map. Each shard only
-    /// ever grows, so consecutive merges are monotone per key.
-    fn merged_counters(&self) -> BTreeMap<String, f64> {
-        let mut merged: BTreeMap<String, f64> = BTreeMap::new();
-        for shard in &self.counters {
-            for (k, v) in shard.lock().expect("hub shard").iter() {
-                *merged.entry(k.clone()).or_default() += *v;
-            }
-        }
-        merged
-    }
-
-    /// A consistent snapshot of the hub as a Prometheus exposition:
-    /// merged counters, gauges, the whole-run latency summaries, the
-    /// live ledger families and the SLO/drift digest. `parse_exposition`
-    /// round-trips the rendered document.
+    /// A consistent snapshot of the hub as a Prometheus exposition: the
+    /// latest published report's families, then the live-only gauges
+    /// (clock, KV occupancy, queue depth, windows, alarms, run complete
+    /// and, with an SLO target, attainment and worst-window burn).
+    /// `parse_exposition` round-trips the rendered document.
     pub fn exposition(&self) -> Exposition {
-        let mut out = Exposition::new();
-        // Plain counters first, then labelled families, sorted by name —
-        // deterministic output for a given state.
-        let merged = self.merged_counters();
-        let mut labelled: BTreeMap<String, Vec<(String, f64)>> = BTreeMap::new();
-        for (k, v) in &merged {
-            match k.split_once('\u{1}') {
-                Some((family, label)) => labelled
-                    .entry(family.to_string())
-                    .or_default()
-                    .push((label.to_string(), *v)),
-                None => out.counter(k, "Live hub counter", *v),
-            }
+        let st = self.lock();
+        let mut out = st.report.clone();
+        for (name, help, value) in [
+            (
+                "pit_hub_clock_seconds",
+                "Latest publisher-clock timestamp seen",
+                st.now_s,
+            ),
+            (
+                "pit_hub_kv_occupancy",
+                "Live KV pool occupancy (fraction)",
+                st.kv_occupancy,
+            ),
+            (
+                "pit_hub_kv_occupancy_peak",
+                "Peak KV pool occupancy seen",
+                st.kv_occupancy_peak,
+            ),
+            (
+                "pit_hub_admission_queue_depth",
+                "Live admission queue depth",
+                st.queue_depth as f64,
+            ),
+            (
+                "pit_hub_window_count",
+                "Windows observed so far (ring + evicted)",
+                st.ring.len() as f64 + st.dropped_windows as f64,
+            ),
+            (
+                "pit_hub_drift_alarms_active",
+                "Drift alarms currently firing",
+                st.alarms.len() as f64,
+            ),
+            (
+                "pit_hub_run_complete",
+                "1 once the publisher marked the run finished",
+                f64::from(u8::from(st.finished_run)),
+            ),
+        ] {
+            out.gauge(name, help, value);
         }
-        for (family, samples) in labelled {
-            out.family(
-                &family,
-                "Live hub counter by cause",
-                MetricKind::Counter,
-                samples
-                    .into_iter()
-                    .map(|(label, value)| Sample {
-                        suffix: String::new(),
-                        labels: vec![("cause".to_string(), label)],
-                        value,
-                    })
-                    .collect(),
-            );
-        }
-        for (k, v) in self.gauges.lock().expect("hub gauges").iter() {
-            out.gauge(k, "Live hub gauge", *v);
-        }
-        let st = self.state.lock().expect("hub state");
-        out.gauge(
-            "pit_hub_clock_seconds",
-            "Latest publisher-clock timestamp seen",
-            st.now_s,
-        );
-        out.gauge(
-            "pit_hub_kv_occupancy",
-            "Live KV pool occupancy (fraction)",
-            st.kv_occupancy,
-        );
-        out.gauge(
-            "pit_hub_kv_occupancy_peak",
-            "Peak KV pool occupancy seen",
-            st.kv_occupancy_peak,
-        );
-        out.gauge(
-            "pit_hub_window_count",
-            "Windows observed so far (ring + evicted)",
-            st.ring.len() as f64 + st.dropped_windows as f64,
-        );
-        out.gauge(
-            "pit_hub_drift_alarms_active",
-            "Drift alarms currently firing",
-            st.alarms.len() as f64,
-        );
-        out.gauge(
-            "pit_hub_run_complete",
-            "1 once the publisher marked the run finished",
-            f64::from(u8::from(st.finished_run)),
-        );
         if let Some(m) = st.slo.as_ref() {
-            let r = m.report(Some(&st.ledger));
+            let r = m.report(None);
             out.gauge(
                 "pit_hub_ttft_attainment",
                 "Whole-run TTFT attainment against the hub SLO",
@@ -593,26 +495,6 @@ impl MetricsHub {
                 r.worst_window_burn_rate,
             );
         }
-        for (name, help, sketch) in [
-            (
-                "pit_hub_ttft_seconds",
-                "Live time-to-first-token (sketch-backed quantiles)",
-                &st.latency.ttft,
-            ),
-            (
-                "pit_hub_itl_seconds",
-                "Live inter-token latency",
-                &st.latency.itl,
-            ),
-            (
-                "pit_hub_e2e_seconds",
-                "Live end-to-end request latency",
-                &st.latency.e2e,
-            ),
-        ] {
-            out.summary(name, help, sketch, &[0.50, 0.90, 0.95, 0.99]);
-        }
-        st.ledger.exposition_into(&mut out);
         out
     }
 
@@ -622,12 +504,20 @@ impl MetricsHub {
     }
 
     /// The live SLO report (attainment, burn rates, per-window digests)
-    /// with the current drift alarms attached, or `None` when the hub
-    /// was built without SLO targets.
+    /// with the current drift alarms and the published report's device
+    /// busy fraction attached, or `None` when the hub was built without
+    /// SLO targets.
     pub fn slo_report(&self) -> Option<SloReport> {
-        let st = self.state.lock().expect("hub state");
+        let st = self.lock();
         st.slo.as_ref().map(|m| {
-            let mut r = m.report(Some(&st.ledger));
+            let mut r = m.report(None);
+            r.busy_fraction = st
+                .report
+                .families()
+                .iter()
+                .find(|f| f.name == "pit_device_busy_fraction")
+                .and_then(|f| f.samples.first())
+                .map(|s| s.value);
             r.drift = st.alarms.clone();
             r
         })
@@ -640,7 +530,7 @@ impl MetricsHub {
         match self.slo_report() {
             Some(r) => r.to_json(),
             None => {
-                let st = self.state.lock().expect("hub state");
+                let st = self.lock();
                 format!("{{\"target\":null,\"drift\":{}}}", st.alarms.to_json())
             }
         }
@@ -648,13 +538,13 @@ impl MetricsHub {
 
     /// Drift alarms currently firing (empty without a baseline).
     pub fn alarms(&self) -> Vec<DriftAlarm> {
-        self.state.lock().expect("hub state").alarms.clone()
+        self.lock().alarms.clone()
     }
 
     /// The window ring digested oldest-first (the `GET /series` body).
     /// Each window's burn rate is the SLO monitor's for the same window.
     pub fn series(&self) -> HubSeries {
-        let st = self.state.lock().expect("hub state");
+        let st = self.lock();
         let slo = st
             .slo
             .as_ref()
@@ -731,12 +621,10 @@ mod tests {
         // `/series` and `/slo` judge each window the same way.
         assert!(r.windows[0].burn_rate > 0.0, "the rejection burns budget");
         assert_eq!(series.windows[0].burn_rate, r.windows[0].burn_rate);
-        let expo = hub.exposition();
-        let rendered = expo.render();
+        let rendered = hub.render();
         let parsed = crate::expo::parse_exposition(&rendered).expect("round-trips");
         assert_eq!(parsed.render(), rendered);
-        assert!(rendered.contains("pit_hub_finished_total 1"));
-        assert!(rendered.contains("pit_hub_e2e_seconds_count 1"));
+        assert!(rendered.contains("\npit_hub_ttft_attainment 0.5\n"));
     }
 
     #[test]
@@ -758,7 +646,7 @@ mod tests {
     }
 
     #[test]
-    fn waits_render_as_labelled_counters() {
+    fn waits_land_in_their_series_window() {
         let hub = MetricsHub::with_defaults();
         hub.on_record(
             0.75,
@@ -768,12 +656,55 @@ mod tests {
                 since_s: 0.25,
             },
         );
+        let series = hub.series();
+        assert_eq!(series.windows[0].waits_s["kv_pool_exhausted"], 0.5);
+    }
+
+    #[test]
+    fn kv_occupancy_lands_in_the_step_window() {
+        let hub = MetricsHub::with_defaults();
+        step(&hub, 0.5, 0.01);
+        // The publisher stamps the post-step occupancy with the step's
+        // own time, ahead of the step record itself.
+        hub.set_kv_occupancy(1.5, 0.9);
+        step(&hub, 1.5, 0.01);
+        let series = hub.series();
+        assert_eq!(series.windows[0].kv_occupancy_peak, 0.0);
+        assert_eq!(series.windows[1].kv_occupancy_peak, 0.9);
+    }
+
+    #[test]
+    fn scrape_is_the_published_report_then_live_gauges() {
+        let hub = MetricsHub::with_defaults();
+        let report = |v: f64| {
+            let mut e = Exposition::new();
+            e.counter("pit_requests_total", "Requests served", v);
+            e
+        };
+        let builds = std::cell::Cell::new(0);
+        for (t_s, v) in [(0.1, 1.0), (0.9, 2.0), (1.2, 3.0)] {
+            hub.publish(t_s, || {
+                builds.set(builds.get() + 1);
+                report(v)
+            });
+        }
+        assert_eq!(builds.get(), 2, "one build per newly entered window");
+        assert!(hub.render().starts_with(&report(3.0).render()));
+        // A straggler from an older window never replaces the snapshot.
+        hub.publish(0.5, || report(0.0));
+        assert!(hub.render().starts_with(&report(3.0).render()));
+        hub.publish_final(report(4.0));
+        hub.finish();
         let rendered = hub.render();
-        assert!(
-            rendered.contains("pit_hub_wait_seconds_total{cause=\"kv_pool_exhausted\"} 0.5"),
-            "labelled wait counter rendered: {rendered}"
-        );
-        crate::expo::parse_exposition(&rendered).expect("labelled family parses");
+        let live = rendered
+            .strip_prefix(&report(4.0).render())
+            .expect("the final report leads the scrape");
+        let live = crate::expo::parse_exposition(live).expect("live block parses");
+        assert!(live
+            .families()
+            .iter()
+            .all(|f| f.kind == crate::expo::MetricKind::Gauge && f.name.starts_with("pit_hub_")));
+        assert!(rendered.contains("\npit_hub_run_complete 1\n"));
     }
 
     #[test]
@@ -807,21 +738,5 @@ mod tests {
                 .any(|a| a.metric == "ttft" && a.kind == crate::drift::DriftKind::QuantileShift),
             "tripled ttft must alarm mid-run: {alarms:?}"
         );
-    }
-
-    #[test]
-    fn counters_are_monotone_across_concurrent_publishers() {
-        let hub = MetricsHub::with_defaults();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..1000 {
-                        hub.add("pit_hub_steps_total", 1.0);
-                    }
-                });
-            }
-        });
-        let merged = hub.merged_counters();
-        assert_eq!(merged["pit_hub_steps_total"], 4000.0);
     }
 }

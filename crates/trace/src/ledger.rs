@@ -318,9 +318,9 @@ impl DeviceLedger {
 
     /// Appends the ledger's Prometheus families to an exposition — the
     /// `pit_device_*` / `pit_link_*` / `pit_jit_*` family set both
-    /// serving reports and the live [`crate::MetricsHub`] share, so a
-    /// scraped document and a committed `METRICS_*.prom` artifact speak
-    /// the same names.
+    /// serving reports write. The live [`crate::MetricsHub`] serves the
+    /// report's exposition itself, so a scraped document and a committed
+    /// `METRICS_*.prom` artifact carry these families from one writer.
     pub fn exposition_into(&self, out: &mut crate::expo::Exposition) {
         let u = self.utilization();
         out.gauge(

@@ -46,11 +46,12 @@
 //! - [`DriftDetector`] — windowed sketches compared against a committed
 //!   [`DriftBaseline`], raising typed [`DriftAlarm`]s on quantile or
 //!   cause-mix shifts;
-//! - [`MetricsHub`] — the *live* observability plane: a sharded,
-//!   thread-safe registry the serving loops publish into at step
-//!   granularity (counters, gauges, windowed sketch snapshots in a
-//!   bounded ring) with the SLO monitor and drift detector evaluating
-//!   per-window inside the hub, so alarms fire mid-run;
+//! - [`MetricsHub`] — the *live* observability plane: a thread-safe
+//!   registry that serves the publisher's own report exposition
+//!   (snapshotted at most once per window) plus a block of live-only
+//!   gauges, and folds lifecycle events into a bounded ring of
+//!   per-window digests with the SLO monitor and drift detector
+//!   evaluating per-window inside the hub, so alarms fire mid-run;
 //! - [`ScrapeServer`] — a std-only `TcpListener` endpoint serving
 //!   `GET /metrics` (Prometheus text), `/slo` and `/series` (JSON) from
 //!   a hub, with a graceful [`ShutdownHandle`].
@@ -81,7 +82,7 @@ pub use drift::{DriftAlarm, DriftBaseline, DriftDetector, DriftKind, DriftPolicy
 pub use exemplar::{ExemplarReservoir, ExemplarSet, ExemplarTimeline};
 pub use expo::{parse_exposition, Exposition, MetricFamily, MetricKind, Sample};
 pub use http::{ScrapeServer, ShutdownHandle};
-pub use hub::{HubConfig, HubSeries, HubSeriesWindow, MetricsHub, COUNTER_SHARDS};
+pub use hub::{HubConfig, HubSeries, HubSeriesWindow, MetricsHub};
 pub use json::JsonValue;
 pub use ledger::{DeviceLedger, StepSample, Utilization};
 pub use lifecycle::{latency_samples, LatencySample, LatencySketches, LifecycleFold};

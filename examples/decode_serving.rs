@@ -35,7 +35,9 @@
 //! (`0` picks an ephemeral port), re-runs the continuous replay with a
 //! `MetricsHub` attached so `curl /metrics`, `/slo` and `/series` (or
 //! `pit_top`) observe it mid-flight, asserts the hubbed report is
-//! byte-identical to the hub-free one, holds the endpoint open for
+//! byte-identical to the hub-free one and that the finished run's
+//! `/metrics` scrape is the report's own exposition followed only by
+//! live `pit_hub_*` gauges, holds the endpoint open for
 //! `--hold-secs <n>` (default 0) and shuts down gracefully.
 
 use pit::gpusim::DeviceSpec;
@@ -45,8 +47,8 @@ use pit::serve::decode::{
     DecodePolicy, DecodeServeConfig,
 };
 use pit::trace::{
-    DriftBaseline, DriftDetector, DriftPolicy, HubConfig, MetricsHub, ScrapeServer, SloMonitor,
-    SloTarget, TraceSink,
+    parse_exposition, DriftBaseline, DriftDetector, DriftPolicy, HubConfig, MetricKind, MetricsHub,
+    ScrapeServer, SloMonitor, SloTarget, TraceSink,
 };
 use pit::workloads::{DatasetSpec, DecodeSpec, DecodeTrace};
 use std::sync::Arc;
@@ -328,6 +330,20 @@ fn main() {
             "attaching the metrics hub must not change the report by one byte"
         );
         println!("hubbed replay report is byte-identical to the hub-free run ✓");
+        // The hub serves the report's own exposition: the finished run's
+        // scrape is the METRICS_*.prom document, then live-only gauges.
+        let scrape = hub.render();
+        let live = scrape
+            .strip_prefix(&hubbed.exposition().render())
+            .expect("the final scrape begins with the report's exposition");
+        let live = parse_exposition(live).expect("live block parses");
+        assert!(
+            live.families()
+                .iter()
+                .all(|f| f.kind == MetricKind::Gauge && f.name.starts_with("pit_hub_")),
+            "only live pit_hub_* gauges follow the report"
+        );
+        println!("final /metrics scrape equals the report's exposition plus live gauges ✓");
         if hold_secs > 0.0 {
             println!("holding the endpoint open for {hold_secs:.0}s (scrape away)...");
             std::thread::sleep(std::time::Duration::from_secs_f64(hold_secs));

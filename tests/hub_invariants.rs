@@ -5,9 +5,11 @@
 //! payloads — every `/metrics` body round-trips through
 //! `parse_exposition`, `/slo` and `/series` parse as JSON; (3) show
 //! monotone counters — a later scrape never reports a smaller value for
-//! any counter sample; and (4) agree with the report — the lifecycle
-//! fold over the drained records, the hub and the SLO monitor count
-//! exactly the report's TTFT / ITL / e2e samples.
+//! any counter sample; and (4) agree with the report — a finished run's
+//! `/metrics` scrape is the report's own exposition followed by live-only
+//! gauges, and the lifecycle fold over the drained records, the hub's
+//! `/series` ring and the SLO monitor count exactly the report's TTFT /
+//! ITL / e2e samples.
 
 use pit::gpusim::DeviceSpec;
 use pit::models::ModelConfig;
@@ -15,12 +17,14 @@ use pit::serve::decode::{
     simulate_decode_trace_observed, simulate_decode_trace_traced, DecodePolicy, DecodeServeConfig,
     KvSparsityPolicy, PreemptPolicy,
 };
+use pit::serve::DecodeReport;
 use pit::serve::{
     serve_trace_arrivals_observed, AdmissionMode, BatchPolicy, Percentiles, ServeConfig,
 };
 use pit::trace::{
-    parse_exposition, Exposition, HubConfig, JsonValue, LatencySketches, MetricsHub, ScrapeServer,
-    SloMonitor, SloTarget, TraceEvent, TraceSink,
+    parse_exposition, Exposition, HubConfig, HubSeries, HubSeriesWindow, JsonValue,
+    LatencySketches, MetricKind, MetricsHub, ScrapeServer, SloMonitor, SloTarget, TraceEvent,
+    TraceSink,
 };
 use pit::workloads::{ArrivalTrace, DatasetSpec, DecodeSpec, DecodeTrace};
 use std::collections::BTreeMap;
@@ -69,7 +73,7 @@ fn counter_values(body: &str) -> BTreeMap<String, f64> {
     let expo = parse_exposition(body).expect("scrape parses");
     let mut out = BTreeMap::new();
     for fam in expo.families() {
-        if fam.kind != pit::trace::MetricKind::Counter {
+        if fam.kind != MetricKind::Counter {
             continue;
         }
         for s in &fam.samples {
@@ -140,18 +144,79 @@ fn hub_and_concurrent_scrapers_leave_the_report_byte_identical() {
 
 #[test]
 fn scrapes_round_trip_and_counters_never_decrease() {
-    let cfg = small_decode_cfg(96);
-    let trace = decode_trace(64);
-    let hub = Arc::new(MetricsHub::with_defaults());
+    // A roomy pool, and a tight one where recompute preemption re-derives
+    // KV: `pit_real_tokens_total` nets that rework out at commit, so a
+    // snapshot taken mid-iteration could go backwards.
+    let mut model = ModelConfig::opt("1.3B");
+    model.layers = 2;
+    let tight = DecodeServeConfig::builder(model, DeviceSpec::a100_80gb())
+        .policy(DecodePolicy::ContinuousPaddingFree { token_budget: 256 })
+        .kv_pages(64)
+        .preempt(PreemptPolicy::Recompute)
+        .build()
+        .expect("valid tight config");
+    let summarization = DecodeTrace::poisson(
+        &DatasetSpec::cola(),
+        &DecodeSpec::summarization(),
+        48,
+        400.0,
+        43,
+    );
+    for (name, cfg, trace, window_s) in [
+        ("roomy", small_decode_cfg(96), decode_trace(64), 1.0),
+        ("recompute", tight, summarization, 0.05),
+    ] {
+        let hub = Arc::new(MetricsHub::new(HubConfig {
+            window_s,
+            ..HubConfig::default()
+        }));
+        let (report, scrapes) = scrape_until_done(&cfg, &trace, &hub);
+        if name == "recompute" {
+            assert!(report.recomputed_tokens > 0, "the tight pool recomputes");
+        }
+        assert!(
+            scrapes.len() >= 2,
+            "{name}: at least an in-flight and a final scrape"
+        );
+        let mut prev: Option<BTreeMap<String, f64>> = None;
+        for body in &scrapes {
+            // render ∘ parse is the identity on every served body.
+            let expo = parse_exposition(body).expect("scrape parses");
+            assert_eq!(&expo.render(), body, "{name}: scrape round-trips");
+            let cur = counter_values(body);
+            if let Some(prev) = prev.as_ref() {
+                for (k, v) in prev {
+                    let now = cur.get(k).unwrap_or_else(|| {
+                        panic!("{name}: counter {k} disappeared between scrapes")
+                    });
+                    assert!(now >= v, "{name}: counter {k} went backwards: {v} -> {now}");
+                }
+            }
+            prev = Some(cur);
+        }
+        let last = prev.expect("at least one scrape");
+        assert_eq!(
+            last.get("pit_requests_total{}").copied(),
+            Some(trace.len() as f64),
+            "{name}: every request finished in the final scrape"
+        );
+    }
+}
+
+/// Replays `trace` with `hub` behind a live endpoint, scraping
+/// `/metrics` (and checking `/slo` and `/series` parse) until the run
+/// completes plus two more scrapes — counters must hold steady across
+/// post-run scrapes too. Returns the report and every `/metrics` body.
+fn scrape_until_done(
+    cfg: &DecodeServeConfig,
+    trace: &DecodeTrace,
+    hub: &Arc<MetricsHub>,
+) -> (DecodeReport, Vec<String>) {
     let server = ScrapeServer::bind(hub.clone(), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
-
-    let scrapes = std::thread::scope(|s| {
+    let out = std::thread::scope(|s| {
         let scraper = s.spawn(move || {
             let mut bodies = Vec::new();
-            // Keep scraping until the run completes (a fast replay may
-            // finish before the first scrape), then take two more —
-            // counters must hold steady across post-run scrapes too.
             let mut after_done = 0;
             while after_done < 3 {
                 let body = get(addr, "/metrics");
@@ -174,37 +239,11 @@ fn scrapes_round_trip_and_counters_never_decrease() {
             bodies
         });
         let sink = TraceSink::disabled();
-        simulate_decode_trace_observed(&cfg, &trace, &sink, 0, Some(&hub));
-        scraper.join().expect("scraper panicked")
+        let (report, _) = simulate_decode_trace_observed(cfg, trace, &sink, 0, Some(hub));
+        (report, scraper.join().expect("scraper panicked"))
     });
     server.shutdown();
-
-    assert!(
-        scrapes.len() >= 2,
-        "at least an in-flight and a final scrape"
-    );
-    let mut prev: Option<BTreeMap<String, f64>> = None;
-    for body in &scrapes {
-        // render ∘ parse is the identity on every served body.
-        let expo = parse_exposition(body).expect("scrape parses");
-        assert_eq!(&expo.render(), body, "scrape round-trips");
-        let cur = counter_values(body);
-        if let Some(prev) = prev.as_ref() {
-            for (k, v) in prev {
-                let now = cur
-                    .get(k)
-                    .unwrap_or_else(|| panic!("counter {k} disappeared between scrapes"));
-                assert!(now >= v, "counter {k} went backwards: {v} -> {now}");
-            }
-        }
-        prev = Some(cur);
-    }
-    let last = prev.expect("at least one scrape");
-    assert_eq!(
-        last.get("pit_hub_finished_total{}").copied(),
-        Some(trace.len() as f64),
-        "every request finished in the final scrape"
-    );
+    out
 }
 
 #[test]
@@ -218,46 +257,33 @@ fn threaded_runtime_publishes_consistent_hub_totals() {
     let report = serve_trace_arrivals_observed(&cfg, &trace, Some(&hub));
     assert_eq!(report.requests, trace.len());
 
-    let body = hub.render();
-    let expo = parse_exposition(&body).expect("hub renders a valid exposition");
-    assert_eq!(expo.render(), body);
-    let counters = counter_values(&body);
+    assert_scrape_is_report_then_live("threaded", &hub, &report.exposition());
+    let series = hub.series();
+    let total = |f: fn(&HubSeriesWindow) -> u64| series_total(&series, f);
     assert_eq!(
-        counters.get("pit_hub_admitted_total{}").copied(),
-        Some(trace.len() as f64),
+        total(|w| w.admitted),
+        trace.len() as u64,
         "submitter published every admission"
     );
     assert_eq!(
-        counters.get("pit_hub_finished_total{}").copied(),
-        Some(report.requests as f64),
+        total(|w| w.finished),
+        report.requests as u64,
         "workers published every completion"
     );
     assert_eq!(
-        counters.get("pit_hub_batch_real_tokens_total{}").copied(),
-        Some(report.real_tokens as f64),
-        "hub token counter agrees with the report"
+        total(|w| w.prefill_tokens),
+        report.real_tokens as u64,
+        "Step records carry the report's tokens"
     );
-    assert_eq!(counters.get("pit_hub_rejected_total{}").copied(), None);
+    assert_eq!(total(|w| w.rejected), 0);
     assert_eq!(
-        counters.get("pit_hub_steps_total{}").copied(),
-        Some(report.batches as f64),
+        total(|w| w.steps),
+        report.batches as u64,
         "one Step record per executed batch"
     );
-    // Each completion's FirstToken + Finished closes one TTFT and one
-    // e2e sample against the submitter's admission.
-    for family in ["pit_hub_ttft_seconds", "pit_hub_e2e_seconds"] {
-        assert_eq!(
-            summary_count(&expo, family),
-            report.requests as u64,
-            "{family}"
-        );
-    }
-    // The whole-run gauge block marks the run complete (sample line,
-    // not the HELP line).
-    assert!(
-        body.contains("\npit_hub_run_complete 1\n"),
-        "finish() sealed the run"
-    );
+    // Each completion's FirstToken closes one TTFT sample against the
+    // submitter's admission.
+    assert_eq!(total(|w| w.ttft_count), report.requests as u64);
 }
 
 /// The `_count` sample of a summary family.
@@ -268,6 +294,35 @@ fn summary_count(expo: &Exposition, family: &str) -> u64 {
         .and_then(|f| f.samples.iter().find(|s| s.suffix == "_count"))
         .unwrap_or_else(|| panic!("{family}_count missing"))
         .value as u64
+}
+
+/// A finished run's scrape is `report` rendered byte for byte, followed
+/// by nothing but the hub's live-only `pit_hub_*` gauges.
+fn assert_scrape_is_report_then_live(name: &str, hub: &MetricsHub, report: &Exposition) {
+    let body = hub.render();
+    let live = body
+        .strip_prefix(&report.render())
+        .unwrap_or_else(|| panic!("{name}: the scrape must begin with the report's exposition"));
+    let live = parse_exposition(live).expect("live block parses");
+    assert!(!live.families().is_empty(), "{name}: live block present");
+    for fam in live.families() {
+        assert!(
+            fam.kind == MetricKind::Gauge && fam.name.starts_with("pit_hub_"),
+            "{name}: only live gauges follow the report, got {}",
+            fam.name
+        );
+    }
+    assert!(
+        body.contains("\npit_hub_run_complete 1\n"),
+        "{name}: finish() sealed the run"
+    );
+}
+
+/// One `/series` field summed over every window (the ring must hold the
+/// whole run).
+fn series_total(series: &HubSeries, field: fn(&HubSeriesWindow) -> u64) -> u64 {
+    assert_eq!(series.dropped, 0, "the ring holds the whole run");
+    series.windows.iter().map(field).sum()
 }
 
 #[test]
@@ -363,8 +418,8 @@ fn every_consumer_folds_the_report_latencies() {
             "{name}"
         );
 
-        // Step records and the hub's token counters count the report's
-        // real rows: no padding, no rework left out.
+        // Step records and the hub's `/series` windows count the
+        // report's real rows: no padding, no rework left out.
         let (prefill_rows, decode_slots) = records.iter().fold((0, 0), |(p, d), r| match r.event {
             TraceEvent::Step {
                 prefill_rows,
@@ -375,30 +430,14 @@ fn every_consumer_folds_the_report_latencies() {
         });
         assert_eq!(prefill_rows, report.prefill_tokens, "{name}: step prefill");
         assert_eq!(decode_slots, report.decode_tokens, "{name}: step decode");
-        let counters = counter_values(&hub.render());
-        for (counter, tokens) in [
-            ("pit_hub_prefill_tokens_total{}", report.prefill_tokens),
-            ("pit_hub_decode_tokens_total{}", report.decode_tokens),
-        ] {
-            assert_eq!(
-                counters.get(counter).copied(),
-                Some(tokens as f64),
-                "{name}: {counter}"
-            );
-        }
-
-        let live = hub.exposition();
-        for (family, sketch) in [
-            ("pit_hub_ttft_seconds", &folded.ttft),
-            ("pit_hub_itl_seconds", &folded.itl),
-            ("pit_hub_e2e_seconds", &folded.e2e),
-        ] {
-            assert_eq!(
-                summary_count(&live, family),
-                sketch.count(),
-                "{name}: {family}"
-            );
-        }
+        assert_scrape_is_report_then_live(&name, &hub, &expo);
+        let series = hub.series();
+        let total = |f: fn(&HubSeriesWindow) -> u64| series_total(&series, f);
+        assert_eq!(total(|w| w.prefill_tokens), report.prefill_tokens as u64);
+        assert_eq!(total(|w| w.decode_tokens), report.decode_tokens as u64);
+        assert_eq!(total(|w| w.ttft_count), folded.ttft.count(), "{name}");
+        assert_eq!(total(|w| w.itl_count), folded.itl.count(), "{name}");
+        assert_eq!(total(|w| w.finished), folded.e2e.count(), "{name}");
         let slo = hub.slo_report().expect("hub has SLO targets");
         let mut replayed = SloMonitor::new(target, 0.25);
         replayed.observe(&records);

@@ -5,8 +5,11 @@
 //! [`pit_trace::ScrapeServer`] (std `TcpStream`, no HTTP client crate)
 //! and redraws a compact dashboard each interval: token throughput,
 //! TTFT/ITL/e2e percentiles, per-window p95 sparklines, the top wait
-//! and blame causes, and any firing SLO/drift alarms. Table rendering
-//! is shared with `trace_explain`.
+//! and blame causes, and any firing SLO/drift alarms. Run totals come
+//! from the report families the hub serves (`pit_requests_total`,
+//! `pit_real_tokens_total`, ...), which both serving loops name alike;
+//! admissions, preemptions and waits come from the `/series` windows.
+//! Table rendering is shared with `trace_explain`.
 //!
 //! ```text
 //! pit_top <host:port | http://host:port> [--once] [--frames N] [--interval-ms N]
@@ -76,8 +79,6 @@ struct Snapshot {
     gauges: BTreeMap<String, f64>,
     /// `(family, count, p50, p95, p99)` rows, milliseconds.
     summaries: Vec<(String, f64, f64, f64, f64)>,
-    /// `(cause, seconds)` from `pit_hub_wait_seconds_total{cause=...}`.
-    waits: Vec<(String, f64)>,
     /// `(cause, seconds)` from `pit_blame_*_seconds_total`.
     blame: Vec<(String, f64)>,
 }
@@ -87,13 +88,7 @@ fn snapshot_from(expo: &Exposition) -> Snapshot {
     for fam in expo.families() {
         match fam.kind {
             MetricKind::Counter => {
-                if fam.name == "pit_hub_wait_seconds_total" {
-                    for s in &fam.samples {
-                        if let Some((_, cause)) = s.labels.iter().find(|(k, _)| k == "cause") {
-                            snap.waits.push((cause.clone(), s.value));
-                        }
-                    }
-                } else if let Some(cause) = fam
+                if let Some(cause) = fam
                     .name
                     .strip_prefix("pit_blame_")
                     .and_then(|n| n.strip_suffix("_seconds_total"))
@@ -132,8 +127,6 @@ fn snapshot_from(expo: &Exposition) -> Snapshot {
             }
         }
     }
-    snap.waits
-        .sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     snap.blame
         .sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     snap
@@ -154,27 +147,35 @@ fn sparkline(values: &[f64]) -> String {
         .collect()
 }
 
+/// The `/series` body's windows, oldest first.
+fn series_windows(series: &JsonValue) -> &[JsonValue] {
+    series
+        .get("windows")
+        .and_then(JsonValue::as_array)
+        .unwrap_or(&[])
+}
+
 /// Pulls each window's `{key}` from the `/series` body.
 fn series_values(series: &JsonValue, key: &str) -> Vec<f64> {
-    let Some(obj) = series.as_object() else {
-        return Vec::new();
-    };
-    let Some(windows) = obj
+    series_windows(series)
         .iter()
-        .find(|(k, _)| k == "windows")
-        .and_then(|(_, v)| v.as_array())
-    else {
-        return Vec::new();
-    };
-    windows
-        .iter()
-        .filter_map(|w| {
-            let o = w.as_object()?;
-            o.iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, v)| v.as_f64())
-        })
+        .filter_map(|w| w.get(key)?.as_f64())
         .collect()
+}
+
+/// `(cause, seconds)` waits summed over the `/series` windows, largest
+/// first.
+fn series_waits(series: &JsonValue) -> Vec<(String, f64)> {
+    let mut waits: BTreeMap<String, f64> = BTreeMap::new();
+    for w in series_windows(series) {
+        let causes = w.get("waits_s").and_then(JsonValue::as_object);
+        for (cause, s) in causes.unwrap_or(&[]) {
+            *waits.entry(cause.clone()).or_default() += s.as_f64().unwrap_or(0.0);
+        }
+    }
+    let mut waits: Vec<(String, f64)> = waits.into_iter().collect();
+    waits.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    waits
 }
 
 /// Flattens the `/slo` body's drift alarms into display lines.
@@ -224,13 +225,9 @@ fn alarm_lines(slo: &JsonValue) -> Vec<String> {
 fn throughput(prev: Option<&Snapshot>, cur: &Snapshot) -> f64 {
     let tokens = |s: &Snapshot| {
         s.counters
-            .get("pit_hub_decode_tokens_total")
+            .get("pit_real_tokens_total")
             .copied()
             .unwrap_or(0.0)
-            + s.counters
-                .get("pit_hub_batch_real_tokens_total")
-                .copied()
-                .unwrap_or(0.0)
     };
     let clock = |s: &Snapshot| {
         s.gauges
@@ -263,6 +260,7 @@ fn render_frame(
     let mut out = String::new();
     let g = |k: &str| cur.gauges.get(k).copied().unwrap_or(f64::NAN);
     let c = |k: &str| cur.counters.get(k).copied().unwrap_or(0.0);
+    let windows_total = |k: &str| series_values(series, k).iter().sum::<f64>();
     out.push_str(&format!(
         "pit_top — {target}   clock {:.2}s   run {}\n",
         g("pit_hub_clock_seconds"),
@@ -281,11 +279,12 @@ fn render_frame(
     ));
     out.push_str(&format!(
         "admitted {:.0}   finished {:.0}   rejected {:.0}   preemptions {:.0}   steps {:.0}\n",
-        c("pit_hub_admitted_total"),
-        c("pit_hub_finished_total"),
-        c("pit_hub_rejected_total"),
-        c("pit_hub_preemptions_total"),
-        c("pit_hub_steps_total"),
+        windows_total("admitted"),
+        c("pit_requests_total"),
+        c("pit_rejected_total"),
+        windows_total("preemptions"),
+        // One name per loop: decode iterations, or runtime batches.
+        c("pit_iterations_total") + c("pit_batches_total"),
     ));
     if g("pit_hub_ttft_attainment").is_finite() {
         out.push_str(&format!(
@@ -324,7 +323,10 @@ fn render_frame(
         }
     }
 
-    for (label, pool) in [("top waits", &cur.waits), ("top blame", &cur.blame)] {
+    for (label, pool) in [
+        ("top waits", &series_waits(series)),
+        ("top blame", &cur.blame),
+    ] {
         if pool.is_empty() {
             continue;
         }
@@ -455,7 +457,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pit_trace::{HubConfig, MetricsHub, ScrapeServer, TraceEvent};
+    use pit_trace::{HubConfig, MetricsHub, ScrapeServer, TraceEvent, WaitCause};
     use std::sync::Arc;
 
     #[test]
@@ -490,7 +492,27 @@ mod tests {
                 gpu_s: 0.2,
             },
         );
+        hub.on_record(
+            0.25,
+            7,
+            &TraceEvent::Waiting {
+                cause: WaitCause::TokenBudgetFull,
+                since_s: 0.05,
+            },
+        );
         hub.on_record(0.30, 7, &TraceEvent::Finished);
+        let mut report = Exposition::new();
+        report.counter("pit_requests_total", "Requests served", 1.0);
+        report.counter("pit_iterations_total", "Iterations", 3.0);
+        report.counter("pit_real_tokens_total", "Goodput tokens", 72.0);
+        report.summary_quantiles(
+            "pit_ttft_seconds",
+            "Time to first token",
+            &[(0.5, 0.2), (0.95, 0.2), (0.99, 0.2)],
+            None,
+            Some(1),
+        );
+        hub.publish_final(report);
         let server = ScrapeServer::bind(hub, "127.0.0.1:0").expect("bind");
         let target = server.local_addr().to_string();
 
@@ -502,8 +524,10 @@ mod tests {
         let slo = JsonValue::parse(&http_get(&target, "/slo").expect("slo")).expect("json");
         let frame = render_frame(&target, None, &cur, &series, &slo);
         assert!(frame.contains("throughput"), "{frame}");
-        assert!(frame.contains("finished 1"), "{frame}");
-        assert!(frame.contains("pit_hub_ttft_seconds"), "{frame}");
+        assert!(frame.contains("admitted 1   finished 1"), "{frame}");
+        assert!(frame.contains("steps 3"), "{frame}");
+        assert!(frame.contains("pit_ttft_seconds"), "{frame}");
+        assert!(frame.contains("token_budget_full"), "{frame}");
         assert!(frame.contains("alarms"), "{frame}");
         server.shutdown();
     }

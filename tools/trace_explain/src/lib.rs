@@ -10,8 +10,8 @@
 //!   summary is printed as a cause table straight from the report;
 //! - `METRICS_*.prom` Prometheus text expositions (as written by the
 //!   examples and served by `pit_trace::ScrapeServer` at `/metrics`) —
-//!   latency summaries and the `pit_blame_*` / `pit_hub_wait_*` cause
-//!   counters are printed as ranked tables via [`pit_trace::parse_exposition`].
+//!   latency summaries and the `pit_blame_*` cause counters are printed
+//!   as ranked tables via [`pit_trace::parse_exposition`].
 
 use pit_trace::{parse_exposition, JsonValue, MetricKind};
 use std::collections::BTreeMap;
@@ -320,7 +320,7 @@ fn blame_cause_name(family: &str) -> Option<&str> {
 
 /// Explains a Prometheus text exposition (`METRICS_*.prom` file or a
 /// `/metrics` scrape body): latency summaries as percentile rows, then
-/// the blame-cause and wait-cause counters ranked by seconds.
+/// the blame-cause counters ranked by seconds.
 fn explain_exposition(path: &str, text: &str) -> Result<(), String> {
     let expo = parse_exposition(text)?;
     println!("{path}: {} metric families", expo.families().len());
@@ -333,9 +333,8 @@ fn explain_exposition(path: &str, text: &str) -> Result<(), String> {
         ("p95_ms", Align::Right),
         ("p99_ms", Align::Right),
     ]);
-    // (cause, seconds) pools for the two cause-counter conventions.
+    // (cause, seconds) from the `pit_blame_*_seconds_total` counters.
     let mut blame: Vec<(String, f64)> = Vec::new();
-    let mut waits: Vec<(String, f64)> = Vec::new();
     for fam in expo.families() {
         match fam.kind {
             MetricKind::Summary => {
@@ -368,16 +367,6 @@ fn explain_exposition(path: &str, text: &str) -> Result<(), String> {
                 if let Some(cause) = blame_cause_name(&fam.name) {
                     let total: f64 = fam.samples.iter().map(|s| s.value).sum();
                     blame.push((cause.to_string(), total));
-                } else if fam.name == "pit_hub_wait_seconds_total" {
-                    for s in &fam.samples {
-                        let cause = s
-                            .labels
-                            .iter()
-                            .find(|(k, _)| k == "cause")
-                            .map(|(_, v)| v.clone())
-                            .unwrap_or_else(|| "?".to_string());
-                        waits.push((cause, s.value));
-                    }
                 }
             }
             MetricKind::Gauge => {}
@@ -388,18 +377,15 @@ fn explain_exposition(path: &str, text: &str) -> Result<(), String> {
         println!("  latency summaries:");
         print!("{}", latency.render("    "));
     }
-    for (label, mut pool) in [("blame summary", blame), ("wait causes", waits)] {
-        if pool.is_empty() {
-            continue;
-        }
-        pool.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        let total: f64 = pool.iter().map(|(_, s)| s).sum();
+    if !blame.is_empty() {
+        blame.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        let total: f64 = blame.iter().map(|(_, s)| s).sum();
         let mut t = Table::new(&[
             ("cause", Align::Left),
             ("seconds", Align::Right),
             ("share", Align::Right),
         ]);
-        for (cause, s) in &pool {
+        for (cause, s) in &blame {
             let share = if total > 0.0 {
                 format!("{:.1}%", 100.0 * s / total)
             } else {
@@ -407,7 +393,7 @@ fn explain_exposition(path: &str, text: &str) -> Result<(), String> {
             };
             t.row(vec![cause.clone(), format!("{s:.4}"), share]);
         }
-        println!("  {label} ({} causes, top cause first):", pool.len());
+        println!("  blame summary ({} causes, top cause first):", blame.len());
         print!("{}", t.render("    "));
     }
     if latency.is_empty() {
@@ -502,11 +488,19 @@ mod tests {
         e.summary("pit_ttft_seconds", "h", &sk, &[0.5, 0.9, 0.95, 0.99]);
         let dir = std::env::temp_dir().join("trace_explain_test_prom");
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("METRICS_t.prom");
-        std::fs::write(&path, e.render()).expect("write");
-        let p = path.to_str().expect("utf8 path");
-        explain(p).expect("explains exposition");
-        check(p).expect("checks exposition");
+        // A committed artifact, and a live scrape of a hub serving it.
+        let hub = pit_trace::MetricsHub::with_defaults();
+        hub.publish_final(e.clone());
+        for (name, text) in [
+            ("METRICS_t.prom", e.render()),
+            ("scrape.prom", hub.render()),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, text).expect("write");
+            let p = path.to_str().expect("utf8 path");
+            explain(p).expect("explains exposition");
+            check(p).expect("checks exposition");
+        }
     }
 
     #[test]
