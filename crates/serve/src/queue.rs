@@ -7,6 +7,7 @@
 //! degrades to bounded queueing delay instead of unbounded memory growth.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
@@ -38,13 +39,16 @@ pub enum PopResult<T> {
 struct State<T> {
     items: VecDeque<T>,
     closed: bool,
-    high_water: usize,
 }
 
 /// Bounded multi-producer/multi-consumer FIFO queue.
 #[derive(Debug)]
 pub struct BoundedQueue<T> {
     state: Mutex<State<T>>,
+    /// Written under `state`'s lock, read without it: a caller holding
+    /// another lock (a metrics hub building a snapshot) can read it
+    /// without ordering that lock against the queue's.
+    high_water: AtomicUsize,
     capacity: usize,
     not_empty: Condvar,
     not_full: Condvar,
@@ -57,8 +61,8 @@ impl<T> BoundedQueue<T> {
             state: Mutex::new(State {
                 items: VecDeque::new(),
                 closed: false,
-                high_water: 0,
             }),
+            high_water: AtomicUsize::new(0),
             capacity: capacity.max(1),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -112,7 +116,7 @@ impl<T> BoundedQueue<T> {
 
     fn enqueue(&self, s: &mut State<T>, item: T, admitted: impl FnOnce(usize)) {
         s.items.push_back(item);
-        s.high_water = s.high_water.max(s.items.len());
+        self.high_water.fetch_max(s.items.len(), Ordering::Relaxed);
         admitted(s.items.len());
         self.not_empty.notify_one();
     }
@@ -192,9 +196,10 @@ impl<T> BoundedQueue<T> {
         self.lock().items.is_empty()
     }
 
-    /// Deepest the queue has ever been (queue-depth metric).
+    /// Deepest the queue has ever been (queue-depth metric). Takes no
+    /// lock.
     pub fn high_water(&self) -> usize {
-        self.lock().high_water
+        self.high_water.load(Ordering::Relaxed)
     }
 
     /// The configured capacity.

@@ -34,6 +34,7 @@
 
 use crate::drift::{DriftAlarm, DriftBaseline, DriftDetector, DriftPolicy};
 use crate::expo::Exposition;
+use crate::ledger::BUSY_FRACTION;
 use crate::lifecycle::{LatencySample, LatencySketches, LifecycleFold};
 use crate::sink::{TraceEvent, RESERVED_LANES};
 use crate::slo::{SloMonitor, SloReport, SloTarget, SloWindowReport};
@@ -330,7 +331,8 @@ impl MetricsHub {
     /// window not yet published builds, later ones in that window return
     /// at once. `build` runs under the hub lock, so concurrent publishers
     /// store their snapshots in lock order and an older one never
-    /// replaces a newer one.
+    /// replaces a newer one. `build` must therefore take no lock that any
+    /// thread holds while it calls into the hub.
     pub fn publish(&self, t_s: f64, build: impl FnOnce() -> Exposition) {
         let idx = self.window_index(t_s);
         let mut st = self.lock();
@@ -515,7 +517,7 @@ impl MetricsHub {
                 .report
                 .families()
                 .iter()
-                .find(|f| f.name == "pit_device_busy_fraction")
+                .find(|f| f.name == BUSY_FRACTION)
                 .and_then(|f| f.samples.first())
                 .map(|s| s.value);
             r.drift = st.alarms.clone();

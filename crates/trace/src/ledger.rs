@@ -199,6 +199,10 @@ impl serde::Serialize for DeviceLedger {
     }
 }
 
+/// The busy-fraction gauge's family name, read back by the metrics hub's
+/// `/slo` report.
+pub(crate) const BUSY_FRACTION: &str = "pit_device_busy_fraction";
+
 impl DeviceLedger {
     /// An empty ledger.
     pub fn new() -> Self {
@@ -324,7 +328,7 @@ impl DeviceLedger {
     pub fn exposition_into(&self, out: &mut crate::expo::Exposition) {
         let u = self.utilization();
         out.gauge(
-            "pit_device_busy_fraction",
+            BUSY_FRACTION,
             "Device busy seconds over the virtual clock",
             u.busy_fraction,
         );

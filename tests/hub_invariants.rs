@@ -286,6 +286,37 @@ fn threaded_runtime_publishes_consistent_hub_totals() {
     assert_eq!(total(|w| w.ttft_count), report.requests as u64);
 }
 
+#[test]
+fn threaded_runtime_snapshots_every_batch_without_deadlock() {
+    // A 0.1 ms hub window makes nearly every batch build a snapshot
+    // under the hub lock while the submitter publishes admissions under
+    // the queue lock: the two locks must never be taken in both orders.
+    for seed in [31, 32, 33] {
+        for admission in [AdmissionMode::Block, AdmissionMode::RejectWhenFull] {
+            let mut cfg = ServeConfig::new(BatchPolicy::PaddingFree { token_budget: 256 });
+            cfg.model.layers = 1;
+            cfg.admission = admission;
+            cfg.workers = 4;
+            cfg.queue_capacity = 2;
+            let trace = ArrivalTrace::poisson(&DatasetSpec::mnli(), 1000, 1e5, seed);
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let hub = MetricsHub::new(HubConfig {
+                    window_s: 1e-4,
+                    ..HubConfig::default()
+                });
+                let report = serve_trace_arrivals_observed(&cfg, &trace, Some(&hub));
+                let _ = tx.send((report, hub));
+            });
+            let (report, hub) = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{admission:?}: the threaded runtime deadlocked"));
+            assert_eq!(report.requests + report.rejected, 1000);
+            assert_scrape_is_report_then_live("per-batch snapshots", &hub, &report.exposition());
+        }
+    }
+}
+
 /// The `_count` sample of a summary family.
 fn summary_count(expo: &Exposition, family: &str) -> u64 {
     expo.families()

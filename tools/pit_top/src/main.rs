@@ -77,8 +77,9 @@ fn http_get(addr: &str, path: &str) -> Result<String, String> {
 struct Snapshot {
     counters: BTreeMap<String, f64>,
     gauges: BTreeMap<String, f64>,
-    /// `(family, count, p50, p95, p99)` rows, milliseconds.
-    summaries: Vec<(String, f64, f64, f64, f64)>,
+    /// `(family, count, p50, p95, p99)` rows, milliseconds; `count` is
+    /// `None` for a summary exported without a `_count` sample.
+    summaries: Vec<(String, Option<f64>, f64, f64, f64)>,
     /// `(cause, seconds)` from `pit_blame_*_seconds_total`.
     blame: Vec<(String, f64)>,
 }
@@ -120,8 +121,7 @@ fn snapshot_from(expo: &Exposition) -> Snapshot {
                     .samples
                     .iter()
                     .find(|s| s.suffix == "_count")
-                    .map(|s| s.value)
-                    .unwrap_or(0.0);
+                    .map(|s| s.value);
                 snap.summaries
                     .push((fam.name.clone(), count, q("0.5"), q("0.95"), q("0.99")));
             }
@@ -306,7 +306,7 @@ fn render_frame(
         for (name, count, p50, p95, p99) in &cur.summaries {
             t.row(vec![
                 name.clone(),
-                format!("{count:.0}"),
+                count.map_or_else(|| "-".to_string(), |n| format!("{n:.0}")),
                 format!("{p50:.2}"),
                 format!("{p95:.2}"),
                 format!("{p99:.2}"),
@@ -512,6 +512,13 @@ mod tests {
             None,
             Some(1),
         );
+        report.summary_quantiles(
+            "pit_itl_seconds",
+            "Inter-token latency",
+            &[(0.5, 0.01), (0.95, 0.01), (0.99, 0.01)],
+            None,
+            None,
+        );
         hub.publish_final(report);
         let server = ScrapeServer::bind(hub, "127.0.0.1:0").expect("bind");
         let target = server.local_addr().to_string();
@@ -527,6 +534,14 @@ mod tests {
         assert!(frame.contains("admitted 1   finished 1"), "{frame}");
         assert!(frame.contains("steps 3"), "{frame}");
         assert!(frame.contains("pit_ttft_seconds"), "{frame}");
+        let itl_row = frame
+            .lines()
+            .find(|l| l.contains("pit_itl_seconds"))
+            .expect("itl row");
+        assert!(
+            itl_row.split_whitespace().nth(1) == Some("-"),
+            "a summary without _count shows no count: {itl_row}"
+        );
         assert!(frame.contains("token_budget_full"), "{frame}");
         assert!(frame.contains("alarms"), "{frame}");
         server.shutdown();
