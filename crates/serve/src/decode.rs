@@ -56,9 +56,8 @@ use pit_prefix::RadixPrefixIndex;
 use pit_swap::{plan_swap_out, PageDesc, RestoreQueue, SwapEngine};
 use pit_tensor::DType;
 use pit_trace::{
-    blame_spans, reduce_spans, BlameAggregate, BreakdownSummary, ExemplarReservoir, ExemplarSet,
-    MetricsHub, StepSample, TraceEvent, TraceRecord, TraceSink, WaitCause, DEVICE_LANE,
-    RESERVED_LANES,
+    blame_spans, BlameAggregate, BreakdownSummary, ExemplarReservoir, ExemplarSet, MetricsHub,
+    StepSample, TraceEvent, TraceRecord, TraceSink, WaitCause, DEVICE_LANE, RESERVED_LANES,
 };
 use pit_workloads::DecodeTrace;
 use std::collections::{BTreeMap, VecDeque};
@@ -862,11 +861,12 @@ pub fn simulate_decode_trace_observed(
     }
     let (mut metrics, exemplars) = rec.finish();
     if sink.is_enabled() {
-        let records = sink.snapshot();
-        let spans = reduce_spans(&records);
-        metrics.set_breakdown(BreakdownSummary::of(&spans));
+        // One blame pass; the phase breakdown is its four-phase view.
+        let spans = blame_spans(&sink.snapshot());
+        let phases = spans.iter().map(|(&lane, b)| (lane, b.into())).collect();
+        metrics.set_breakdown(BreakdownSummary::of(&phases));
         let mut agg = BlameAggregate::new();
-        agg.fold_spans(&blame_spans(&records));
+        agg.fold_spans(&spans);
         metrics.set_blame(agg.summary());
     }
     let report = metrics.report(&name, kv.stats(), CacheStats::of(&cache));

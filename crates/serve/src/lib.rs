@@ -75,12 +75,12 @@
 //! recorder is the single observation point: each fact (a step, a stall,
 //! a token, a completion) is one call that writes the report's
 //! [`DecodeMetrics`], the sink, the exemplars and the hub. An enabled sink
-//! adds a per-request queue/prefill/decode/stall breakdown to the report
-//! and exports to Chrome `trace_event` JSON via
+//! adds the per-request blame tiling to the report, summarised per cause
+//! and as its queue/prefill/decode/stall view, and exports to Chrome `trace_event` JSON via
 //! `pit_trace::chrome_trace_json`; a disabled sink costs one branch per
 //! event. Consumers that read latencies back off the records share
 //! `pit_trace::LifecycleFold`, which counts exactly the report's TTFT /
-//! ITL / e2e samples; [`serve_trace_arrivals_observed`] feeds the same
+//! ITL / e2e samples; [`serve_trace_arrivals`] with a hub feeds the same
 //! fold through `Step`, `FirstToken` and `Finished` records. The hub
 //! counts nothing the report counts: both loops hand it snapshots of
 //! their own report's exposition (at most one build per hub window, then
@@ -101,7 +101,7 @@ pub use decode::{
 pub use metrics::{CacheStats, DecodeMetrics, DecodeReport, Metrics, Percentiles, ServingReport};
 pub use queue::BoundedQueue;
 pub use runtime::{
-    batch_step_sample, serve_trace, serve_trace_arrivals, serve_trace_arrivals_observed,
-    simulate_trace_arrivals, AdmissionMode, ServeConfig,
+    batch_step_sample, serve_trace, serve_trace_arrivals, simulate_trace_arrivals, AdmissionMode,
+    ServeConfig,
 };
 pub use scheduler::{BatchPolicy, FormedBatch};

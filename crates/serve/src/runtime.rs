@@ -436,25 +436,18 @@ fn batch_blame(arrival_s: f64, end_s: f64, blocked_s: f64, execute_s: f64) -> Bl
 /// clock from submission to batch completion, so queueing delay under the
 /// trace's real arrival pattern is measured rather than implied.
 ///
-/// This is the first step of the ROADMAP's async front-end item: arrivals
-/// are driven by the trace clock instead of closed-loop clients.
-pub fn serve_trace_arrivals(cfg: &ServeConfig, trace: &ArrivalTrace) -> ServingReport {
-    serve_trace_arrivals_observed(cfg, trace, None)
-}
-
-/// [`serve_trace_arrivals`] that additionally publishes live metrics into
-/// a [`MetricsHub`] while the threaded replay runs: the submitter
-/// publishes admissions, rejections and the live queue-depth gauge on the
-/// trace clock; workers publish each batch as a device-lane `Step`
-/// record, each completion as `FirstToken` + `Finished` on the request's
-/// lane, on the wall clock since run start (the two clocks coincide
-/// while the submitter keeps schedule) — the hub's lifecycle fold turns
-/// those into TTFT/e2e observations — and the [`ServingReport`] so far
-/// as the hub's `/metrics` snapshot. The returned report's exposition is
-/// the final snapshot. The hub is write-only for every thread — no
-/// publisher reads it — so a concurrent scraper never perturbs
-/// scheduling decisions.
-pub fn serve_trace_arrivals_observed(
+/// With a `hub`, live metrics are published while the replay runs: the
+/// submitter publishes admissions, rejections and the live queue-depth
+/// gauge on the trace clock; workers publish each batch as a device-lane
+/// `Step` record, each completion as `FirstToken` + `Finished` on the
+/// request's lane, on the wall clock since run start (the two clocks
+/// coincide while the submitter keeps schedule) — the hub's lifecycle
+/// fold turns those into TTFT/e2e observations — and the
+/// [`ServingReport`] so far as the hub's `/metrics` snapshot. The
+/// returned report's exposition is the final snapshot. The hub is
+/// write-only for every thread — no publisher reads it — so a concurrent
+/// scraper never perturbs scheduling decisions.
+pub fn serve_trace_arrivals(
     cfg: &ServeConfig,
     trace: &ArrivalTrace,
     hub: Option<&MetricsHub>,
@@ -792,7 +785,7 @@ mod tests {
         let cfg = small_cfg(BatchPolicy::PaddingFree { token_budget: 1024 });
         // High rate so the replay finishes quickly in CI.
         let trace = ArrivalTrace::poisson(&DatasetSpec::mnli(), 48, 2000.0, 29);
-        let report = serve_trace_arrivals(&cfg, &trace);
+        let report = serve_trace_arrivals(&cfg, &trace, None);
         assert_eq!(report.requests, trace.len());
         assert_eq!(report.real_tokens, trace.total_tokens());
         assert_eq!(report.padding_waste(), 0.0);
@@ -864,7 +857,7 @@ mod tests {
         // High rate over a tiny queue: some rejections are likely, but
         // served + rejected must account for the whole trace either way.
         let trace = ArrivalTrace::poisson(&DatasetSpec::mnli(), 48, 5000.0, 29);
-        let report = serve_trace_arrivals(&cfg, &trace);
+        let report = serve_trace_arrivals(&cfg, &trace, None);
         assert_eq!(report.requests + report.rejected, trace.len());
         assert!(report.queue_high_water <= cfg.queue_capacity);
     }

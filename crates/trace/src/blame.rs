@@ -1,25 +1,21 @@
-//! Causal blame: per-request critical-path attribution.
+//! Causal blame: per-request critical-path attribution, the one
+//! per-request reduction of the event stream.
 //!
-//! The lifecycle breakdown ([`crate::reduce_spans`]) says *where* a
-//! request's time went (queue / prefill / decode / stall); this module
-//! says *why*. The serving loops annotate every stall and deferral
-//! decision they already take with a typed [`WaitCause`]
-//! ([`crate::TraceEvent::Waiting`]), and [`blame_spans`] reduces the
-//! event stream into one [`BlameBreakdown`] per request whose causal
-//! categories **tile TTFT and end-to-end latency exactly** — the same
-//! discipline as the span reduction and the device-time ledger's
-//! conservation law.
-//!
-//! The attribution rule is the span reduction's, refined: every
-//! inter-event gap on a request's lane belongs to the *later* event's
-//! blame category. A gap ending in `Waiting { cause }` belongs to that
-//! cause; a gap ending in a prefill chunk was prefill execution; one
-//! ending in a swap-out landed on the d2h link; and so on. Because the
-//! gaps tile the `[arrival, last event]` interval by construction, the
-//! per-category times sum to the end-to-end latency to floating-point
-//! accuracy, and the prefix of gaps up to the first token sums to TTFT
-//! the same way — the invariant `tests/blame_invariants.rs` pins at
-//! 1e-9 s across the sparsity × preemption × prefix-caching matrix.
+//! The serving loops annotate every stall and deferral decision they
+//! already take with a typed [`WaitCause`] ([`crate::TraceEvent::Waiting`]),
+//! and [`blame_spans`] reduces the event stream into one
+//! [`BlameBreakdown`] per request whose causal categories **tile TTFT
+//! and end-to-end latency exactly**. Every inter-event gap on a
+//! request's lane belongs to the *later* event's category: a gap ending
+//! in `Waiting { cause }` belongs to that cause, one ending in a prefill
+//! chunk was prefill execution, one ending in a swap-out landed on the
+//! d2h link, and so on. The gaps tile `[arrival, last event]`, so the
+//! categories sum to the end-to-end latency (and the gaps up to the
+//! first token to TTFT) to floating-point accuracy — pinned at 1e-9 s by
+//! `tests/blame_invariants.rs` across the sparsity × preemption ×
+//! prefix-caching matrix. The queue / prefill / decode / stall
+//! breakdown ([`crate::SpanBreakdown`]) and the Chrome export's sequence
+//! lanes are views of this tiling through [`BlameCategory::phase`].
 //!
 //! Fleet-level aggregation folds per-request breakdowns into a
 //! [`BlameAggregate`] (per-cause totals plus per-cause
@@ -29,6 +25,7 @@
 //! Prometheus exposition carry, so "p99 TTFT is 71% KvPoolExhausted" is
 //! a one-line read.
 
+use crate::lifecycle::LaneFold;
 use crate::sink::{TraceEvent, TraceRecord, RESERVED_LANES};
 use crate::sketch::LatencySketch;
 use std::collections::BTreeMap;
@@ -113,6 +110,31 @@ impl WaitCause {
     }
 }
 
+/// The coarse lifecycle phase a [`BlameCategory`] belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// Waiting for admission (re-admission waits included).
+    Queue,
+    /// Chunked prefill (head-of-line and budget waits included).
+    Prefill,
+    /// Decoding, one token per step.
+    Decode,
+    /// Preemption, swap transfers, restore waits and page pressure.
+    Stall,
+}
+
+impl Phase {
+    /// Stable lowercase name (Chrome segment names).
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Phase::Queue => "queue",
+            Phase::Prefill => "prefill",
+            Phase::Decode => "decode",
+            Phase::Stall => "stall",
+        }
+    }
+}
+
 /// A request-time category: the nine wait causes plus the two execution
 /// phases. Together they tile a request's latency exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -184,8 +206,26 @@ impl BlameCategory {
         }
     }
 
-    /// Which category a gap *ending* at `event` belongs to — the blame
-    /// refinement of the span reduction's phase attribution.
+    /// The coarse phase this category's time belongs to: admission-side
+    /// waits are queue time, in-prefill waits are prefill time, memory
+    /// and link pressure is stall time.
+    pub(crate) fn phase(self) -> Phase {
+        match self {
+            BlameCategory::QueueBehindAdmission
+            | BlameCategory::MaxLiveCap
+            | BlameCategory::SchedulerIdle => Phase::Queue,
+            BlameCategory::TokenBudgetFull
+            | BlameCategory::HeadOfLinePrefill
+            | BlameCategory::PrefillExecute => Phase::Prefill,
+            BlameCategory::DecodeExecute => Phase::Decode,
+            BlameCategory::KvPoolExhausted
+            | BlameCategory::SwapLinkD2h
+            | BlameCategory::SwapLinkH2d
+            | BlameCategory::RestoreInFlight => Phase::Stall,
+        }
+    }
+
+    /// Which category a gap *ending* at `event` belongs to.
     pub fn of_event(event: &TraceEvent) -> BlameCategory {
         match event {
             TraceEvent::Admitted { .. } | TraceEvent::PrefixHit { .. } | TraceEvent::Rejected => {
@@ -236,14 +276,14 @@ pub struct BlameBreakdown {
 }
 
 impl BlameBreakdown {
-    /// Sum of the TTFT categories — equals `first_token_s - arrival_s`
-    /// exactly by construction (0 before the first token).
+    /// Sum of the TTFT categories — `first_token_s - arrival_s` up to
+    /// f64 summation error (0 before the first token).
     pub fn ttft_total_s(&self) -> f64 {
         self.ttft_by_cause.iter().sum()
     }
 
-    /// Sum of the e2e categories — equals `end_s - arrival_s` exactly
-    /// by construction.
+    /// Sum of the e2e categories — `end_s - arrival_s` up to f64
+    /// summation error.
     pub fn e2e_total_s(&self) -> f64 {
         self.e2e_by_cause.iter().sum()
     }
@@ -262,37 +302,25 @@ impl BlameBreakdown {
 
 /// Reduces a sorted record stream (as `TraceSink::drain`/`snapshot`
 /// return it) to one [`BlameBreakdown`] per sequence lane. Device and
-/// link lanes are skipped. Same gap-tiling discipline as
-/// [`crate::reduce_spans`]; the first `FirstToken` on a lane closes the
+/// link lanes are skipped. The first `FirstToken` on a lane closes the
 /// TTFT prefix (later first tokens are re-admission resumes).
 pub fn blame_spans(records: &[TraceRecord]) -> BTreeMap<u64, BlameBreakdown> {
-    let mut spans: BTreeMap<u64, BlameBreakdown> = BTreeMap::new();
-    let mut prev_t: BTreeMap<u64, f64> = BTreeMap::new();
-    for r in records {
-        if r.lane >= RESERVED_LANES {
-            continue;
-        }
-        let span = spans.entry(r.lane).or_insert_with(|| {
-            // The first event anchors the lifecycle; `Admitted` and
-            // `Waiting` carry the true wait start, anything else starts
-            // the clock at itself.
-            let arrival = match r.event {
-                TraceEvent::Admitted { arrival_s } => arrival_s,
-                TraceEvent::Waiting { since_s, .. } => since_s,
-                _ => r.t_s,
-            };
-            prev_t.insert(r.lane, arrival);
-            BlameBreakdown {
-                arrival_s: arrival,
+    let mut lanes: BTreeMap<u64, (LaneFold, BlameBreakdown)> = BTreeMap::new();
+    for r in records.iter().filter(|r| r.lane < RESERVED_LANES) {
+        let (lane, span) = lanes.entry(r.lane).or_insert_with(|| {
+            let lane = LaneFold::open(r.t_s, &r.event);
+            let span = BlameBreakdown {
+                arrival_s: lane.arrival_s(),
                 first_token_s: None,
-                end_s: arrival,
+                end_s: lane.arrival_s(),
                 finished: false,
                 ttft_by_cause: [0.0; BlameCategory::COUNT],
                 e2e_by_cause: [0.0; BlameCategory::COUNT],
-            }
+            };
+            (lane, span)
         });
-        let prev = prev_t.get_mut(&r.lane).expect("inserted above");
-        let gap = (r.t_s - *prev).max(0.0);
+        let (start_s, end_s) = lane.gap(r.t_s);
+        let gap = end_s - start_s;
         let idx = BlameCategory::of_event(&r.event).index();
         span.e2e_by_cause[idx] += gap;
         if span.first_token_s.is_none() {
@@ -301,13 +329,13 @@ pub fn blame_spans(records: &[TraceRecord]) -> BTreeMap<u64, BlameBreakdown> {
                 span.first_token_s = Some(r.t_s);
             }
         }
-        *prev = prev.max(r.t_s);
-        span.end_s = span.end_s.max(r.t_s);
-        if matches!(r.event, TraceEvent::Finished) {
-            span.finished = true;
-        }
+        span.end_s = end_s;
+        span.finished |= matches!(r.event, TraceEvent::Finished);
     }
-    spans
+    lanes
+        .into_iter()
+        .map(|(id, (_, span))| (id, span))
+        .collect()
 }
 
 /// Fleet-level blame accumulator: per-category totals plus per-category
@@ -517,6 +545,100 @@ mod tests {
         for w in WaitCause::ALL {
             assert_eq!(w.name(), w.category().name());
         }
+    }
+
+    /// The event → phase table the span reduction used before it became
+    /// a view of the blame tiling, kept verbatim as the oracle.
+    fn legacy_phase(event: &TraceEvent) -> Phase {
+        match event {
+            TraceEvent::Admitted { .. } | TraceEvent::PrefixHit { .. } | TraceEvent::Rejected => {
+                Phase::Queue
+            }
+            TraceEvent::PrefillChunk { .. } | TraceEvent::FirstToken => Phase::Prefill,
+            TraceEvent::DecodeStep { .. } | TraceEvent::Finished => Phase::Decode,
+            TraceEvent::Preempted { .. }
+            | TraceEvent::SwapOut { .. }
+            | TraceEvent::SwapIn { .. }
+            | TraceEvent::SparsityEvict { .. } => Phase::Stall,
+            TraceEvent::Waiting { cause, .. } => match cause {
+                WaitCause::QueueBehindAdmission
+                | WaitCause::MaxLiveCap
+                | WaitCause::SchedulerIdle => Phase::Queue,
+                WaitCause::TokenBudgetFull | WaitCause::HeadOfLinePrefill => Phase::Prefill,
+                WaitCause::KvPoolExhausted
+                | WaitCause::SwapLinkD2h
+                | WaitCause::SwapLinkH2d
+                | WaitCause::RestoreInFlight => Phase::Stall,
+            },
+            TraceEvent::Step { .. } => Phase::Decode,
+        }
+    }
+
+    #[test]
+    fn phase_map_pins_the_legacy_phase_table() {
+        let mut events = vec![
+            TraceEvent::Admitted { arrival_s: 0.0 },
+            TraceEvent::PrefixHit {
+                pages: 2,
+                tokens: 32,
+            },
+            TraceEvent::PrefillChunk { tokens: 64 },
+            TraceEvent::FirstToken,
+            TraceEvent::DecodeStep {
+                attended: 8,
+                cached: 8,
+            },
+            TraceEvent::SwapOut {
+                pages: 4,
+                initiated_s: 1.0,
+                link_busy_until_s: 2.0,
+            },
+            TraceEvent::SwapIn {
+                pages: 4,
+                initiated_s: 1.0,
+                link_busy_until_s: 2.0,
+            },
+            TraceEvent::SparsityEvict { pages: 1 },
+            TraceEvent::Finished,
+            TraceEvent::Rejected,
+            TraceEvent::Step {
+                prefill_rows: 8,
+                decode_slots: 2,
+                gpu_s: 0.5,
+            },
+        ];
+        for policy in ["recompute", "swap-to-host", "swap-fallback"] {
+            events.push(TraceEvent::Preempted { policy });
+        }
+        for cause in WaitCause::ALL {
+            events.push(TraceEvent::Waiting {
+                cause,
+                since_s: 0.0,
+            });
+        }
+        for e in &events {
+            assert_eq!(BlameCategory::of_event(e).phase(), legacy_phase(e), "{e:?}");
+        }
+        let phase = |e: TraceEvent| BlameCategory::of_event(&e).phase();
+        assert_eq!(
+            phase(TraceEvent::Preempted {
+                policy: "swap-to-host"
+            }),
+            Phase::Stall
+        );
+        assert_eq!(
+            phase(TraceEvent::PrefixHit {
+                pages: 1,
+                tokens: 16
+            }),
+            Phase::Queue
+        );
+        let wait = |cause| TraceEvent::Waiting {
+            cause,
+            since_s: 0.0,
+        };
+        assert_eq!(phase(wait(WaitCause::HeadOfLinePrefill)), Phase::Prefill);
+        assert_eq!(phase(wait(WaitCause::SchedulerIdle)), Phase::Queue);
     }
 
     #[test]

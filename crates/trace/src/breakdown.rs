@@ -1,56 +1,17 @@
-//! Per-request span reduction: from a flat event stream to a
-//! queue / prefill / decode / stall time breakdown.
+//! The queue / prefill / decode / stall breakdown: a four-phase view of
+//! the blame tiling.
 //!
-//! The reduction partitions each request's `[arrival, last event]`
-//! interval by attributing every inter-event gap to the *later* event's
-//! phase: the time a gap ends in `Admitted` was spent queued, a gap
-//! ending in a `PrefillChunk` or `FirstToken` was prefill, one ending in
-//! a `DecodeStep` or `Finished` was decode, and gaps ending in
-//! preemption/swap/restore events were stalls. Because the gaps tile the
-//! interval exactly, the four phases sum to the request's end-to-end
-//! latency to floating-point accuracy — the property the acceptance test
-//! pins at 1e-6 s.
+//! [`crate::blame_spans`] is the one per-request reduction; it tiles
+//! each request's `[arrival, last event]` interval into causal
+//! categories. A [`SpanBreakdown`] sums those tiles by
+//! [`crate::BlameCategory::phase`], in [`crate::BlameCategory::ALL`]
+//! order, so the four phases sum to the request's end-to-end latency up
+//! to f64 summation error — the property the acceptance test pins at
+//! 1e-6 s.
 
-use crate::blame::WaitCause;
-use crate::sink::{TraceEvent, TraceRecord, RESERVED_LANES};
+use crate::blame::{blame_spans, BlameBreakdown, BlameCategory, Phase};
+use crate::sink::TraceRecord;
 use std::collections::BTreeMap;
-
-/// Which phase a gap belongs to.
-fn phase_of(event: &TraceEvent) -> Phase {
-    match event {
-        TraceEvent::Admitted { .. } | TraceEvent::PrefixHit { .. } | TraceEvent::Rejected => {
-            Phase::Queue
-        }
-        TraceEvent::PrefillChunk { .. } | TraceEvent::FirstToken => Phase::Prefill,
-        TraceEvent::DecodeStep { .. } | TraceEvent::Finished => Phase::Decode,
-        TraceEvent::Preempted { .. }
-        | TraceEvent::SwapOut { .. }
-        | TraceEvent::SwapIn { .. }
-        | TraceEvent::SparsityEvict { .. } => Phase::Stall,
-        // Typed waits fold back into the coarse phases: admission-side
-        // causes are queue time, in-prefill causes are prefill time,
-        // memory/link pressure is stall time.
-        TraceEvent::Waiting { cause, .. } => match cause {
-            WaitCause::QueueBehindAdmission | WaitCause::MaxLiveCap | WaitCause::SchedulerIdle => {
-                Phase::Queue
-            }
-            WaitCause::TokenBudgetFull | WaitCause::HeadOfLinePrefill => Phase::Prefill,
-            WaitCause::KvPoolExhausted
-            | WaitCause::SwapLinkD2h
-            | WaitCause::SwapLinkH2d
-            | WaitCause::RestoreInFlight => Phase::Stall,
-        },
-        TraceEvent::Step { .. } => Phase::Decode, // device lane; not reduced
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Queue,
-    Prefill,
-    Decode,
-    Stall,
-}
 
 /// One request's lifecycle, reduced to phase totals.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
@@ -73,60 +34,45 @@ pub struct SpanBreakdown {
 }
 
 impl SpanBreakdown {
-    /// Sum of the four phases — equals `end_s - arrival_s` exactly by
-    /// construction (the gaps tile the interval).
+    /// Sum of the four phases — `end_s - arrival_s` up to f64
+    /// summation error (the gaps tile the interval).
     pub fn total_s(&self) -> f64 {
         self.queue_s + self.prefill_s + self.decode_s + self.stall_s
     }
 }
 
-/// Reduces a sorted record stream (as returned by `TraceSink::drain` /
-/// `snapshot`) to one [`SpanBreakdown`] per sequence lane. Device and
-/// link lanes are skipped.
-pub fn reduce_spans(records: &[TraceRecord]) -> BTreeMap<u64, SpanBreakdown> {
-    let mut spans: BTreeMap<u64, SpanBreakdown> = BTreeMap::new();
-    let mut prev_t: BTreeMap<u64, f64> = BTreeMap::new();
-    for r in records {
-        if r.lane >= RESERVED_LANES {
-            continue;
+impl From<&BlameBreakdown> for SpanBreakdown {
+    /// Sums the blame categories into their phases, in taxonomy order.
+    fn from(b: &BlameBreakdown) -> Self {
+        let mut span = SpanBreakdown {
+            arrival_s: b.arrival_s,
+            end_s: b.end_s,
+            queue_s: 0.0,
+            prefill_s: 0.0,
+            decode_s: 0.0,
+            stall_s: 0.0,
+            finished: b.finished,
+        };
+        for c in BlameCategory::ALL {
+            *match c.phase() {
+                Phase::Queue => &mut span.queue_s,
+                Phase::Prefill => &mut span.prefill_s,
+                Phase::Decode => &mut span.decode_s,
+                Phase::Stall => &mut span.stall_s,
+            } += b.e2e_by_cause[c.index()];
         }
-        let span = spans.entry(r.lane).or_insert_with(|| {
-            // The first event anchors the lifecycle; `Admitted` and
-            // `Waiting` carry the true wait start, anything else starts
-            // the clock at itself.
-            let arrival = match r.event {
-                TraceEvent::Admitted { arrival_s } => arrival_s,
-                TraceEvent::Waiting { since_s, .. } => since_s,
-                _ => r.t_s,
-            };
-            prev_t.insert(r.lane, arrival);
-            SpanBreakdown {
-                arrival_s: arrival,
-                end_s: arrival,
-                queue_s: 0.0,
-                prefill_s: 0.0,
-                decode_s: 0.0,
-                stall_s: 0.0,
-                finished: false,
-            }
-        });
-        let prev = prev_t.get_mut(&r.lane).expect("inserted above");
-        // Per-lane streams are time-monotone; guard against negative gaps
-        // from float noise anyway.
-        let gap = (r.t_s - *prev).max(0.0);
-        match phase_of(&r.event) {
-            Phase::Queue => span.queue_s += gap,
-            Phase::Prefill => span.prefill_s += gap,
-            Phase::Decode => span.decode_s += gap,
-            Phase::Stall => span.stall_s += gap,
-        }
-        *prev = prev.max(r.t_s);
-        span.end_s = span.end_s.max(r.t_s);
-        if matches!(r.event, TraceEvent::Finished) {
-            span.finished = true;
-        }
+        span
     }
-    spans
+}
+
+/// Reduces a sorted record stream (as returned by `TraceSink::drain` /
+/// `snapshot`) to one [`SpanBreakdown`] per sequence lane: the phase
+/// view of [`blame_spans`]. Device and link lanes are skipped.
+pub fn reduce_spans(records: &[TraceRecord]) -> BTreeMap<u64, SpanBreakdown> {
+    blame_spans(records)
+        .iter()
+        .map(|(&lane, b)| (lane, b.into()))
+        .collect()
 }
 
 /// Mean phase times across finished requests — the digest that lands in
@@ -168,7 +114,7 @@ impl BreakdownSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::TraceSink;
+    use crate::sink::{TraceEvent, TraceSink};
 
     #[test]
     fn gaps_tile_the_lifecycle_exactly() {

@@ -5,17 +5,22 @@
 //! Tracks: tid 0 is the modelled device (one complete event per
 //! iteration), tids 1 and 2 are the PCIe link directions (one complete
 //! event per transfer, spanning initiation to landing), and each
-//! sequence gets its own tid carrying its phase spans
-//! (queue/prefill/decode/stall segments from the same gap attribution as
-//! [`crate::reduce_spans`]) plus instant markers for admissions, prefix
-//! hits, preemptions and sparsity evictions.
+//! sequence gets its own tid carrying its gap segments plus instant
+//! markers for admissions, prefix hits, preemptions and sparsity
+//! evictions. The segments are the blame tiling painted: the lane's
+//! gaps come from the same lane state as [`crate::blame_spans`], each
+//! named by its wait cause or else by its category's phase
+//! (queue/prefill/decode/stall), so a finished lane's segment durations
+//! sum to its blame end-to-end total.
 //!
 //! Timestamps and durations are microseconds (the format's unit); all
 //! events share pid 1. Event shapes are emitted by hand rather than
 //! through `#[derive(Serialize)]` — the entries mix numeric and string
 //! args, and the vendored derive skips generic types.
 
+use crate::blame::BlameCategory;
 use crate::exemplar::ExemplarSet;
+use crate::lifecycle::LaneFold;
 use crate::sink::{TraceEvent, TraceRecord, DEVICE_LANE, RESERVED_LANES};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -92,28 +97,14 @@ fn write_args(out: &mut String, args: &[(&str, f64)]) {
     out.push('}');
 }
 
-/// Phase name of a sequence-lane gap; mirrors the breakdown attribution.
-/// Typed waits name their segment by cause, so causal stalls read
-/// directly off the timeline.
+/// Name of a sequence-lane gap ending at `event`: typed waits name
+/// their segment by cause, so causal stalls read directly off the
+/// timeline; every other gap by its blame category's phase.
 fn gap_name(event: &TraceEvent) -> Option<&'static str> {
-    Some(match event {
-        TraceEvent::Admitted { .. } => "queue",
-        TraceEvent::PrefillChunk { .. } | TraceEvent::FirstToken => "prefill",
-        TraceEvent::DecodeStep { .. } | TraceEvent::Finished => "decode",
-        TraceEvent::Preempted { .. } | TraceEvent::SwapOut { .. } | TraceEvent::SwapIn { .. } => {
-            "stall"
-        }
-        TraceEvent::Waiting { cause, .. } => cause.name(),
-        _ => return None,
-    })
-}
-
-/// The wait-start anchor a lane's first event implies.
-fn lane_anchor(event: &TraceEvent, t_s: f64) -> f64 {
     match event {
-        TraceEvent::Admitted { arrival_s } => *arrival_s,
-        TraceEvent::Waiting { since_s, .. } => *since_s,
-        _ => t_s,
+        TraceEvent::Waiting { cause, .. } => Some(cause.name()),
+        TraceEvent::Step { .. } => None, // device lane
+        e => Some(BlameCategory::of_event(e).phase().name()),
     }
 }
 
@@ -127,20 +118,18 @@ fn render_seq_lane(
     pid: u64,
     tid: u64,
     lane: u64,
-    prev: &mut Option<f64>,
+    fold: &mut Option<LaneFold>,
     link_tids: bool,
 ) {
     for (t_s, event) in records {
         let mut buf = String::new();
-        let p = prev.get_or_insert_with(|| lane_anchor(&event, t_s));
-        if let Some(name) = gap_name(&event) {
-            if t_s > *p {
-                let mut seg = String::new();
-                complete(&mut seg, name, *p, t_s, pid, tid, &[]);
-                events.push(seg);
-            }
+        let fold = fold.get_or_insert_with(|| LaneFold::open(t_s, &event));
+        let (start_s, end_s) = fold.gap(t_s);
+        if let Some(name) = gap_name(&event).filter(|_| end_s > start_s) {
+            let mut seg = String::new();
+            complete(&mut seg, name, start_s, end_s, pid, tid, &[]);
+            events.push(seg);
         }
-        *p = p.max(t_s);
         match event {
             // Link transfers also paint the link lanes.
             TraceEvent::SwapOut {
@@ -216,8 +205,8 @@ fn render_events(records: &[TraceRecord]) -> Vec<String> {
         thread_name(&mut events, &format!("seq {seq}"), 1, tid);
     }
 
-    // Per-sequence gap segmentation: last event time per lane.
-    let mut prev: BTreeMap<u64, Option<f64>> = BTreeMap::new();
+    // Per-sequence gap segmentation: one lane state per sequence.
+    let mut folds: BTreeMap<u64, Option<LaneFold>> = BTreeMap::new();
 
     for r in records {
         match (&r.event, r.lane) {
@@ -253,7 +242,7 @@ fn render_events(records: &[TraceRecord]) -> Vec<String> {
                     1,
                     tid,
                     lane,
-                    prev.entry(lane).or_insert(None),
+                    folds.entry(lane).or_insert(None),
                     true,
                 );
             }
@@ -304,14 +293,13 @@ pub fn chrome_trace_json_with_exemplars(
                 2,
                 tid,
             );
-            let mut prev = None;
             render_seq_lane(
                 &mut events,
                 tl.records.iter().map(|r| (r.t_s, r.event.clone())),
                 2,
                 tid,
                 tl.lane,
-                &mut prev,
+                &mut None,
                 false,
             );
             tid += 1;

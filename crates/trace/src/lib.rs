@@ -11,12 +11,18 @@
 //! - [`TraceSink`] / [`TraceEvent`] — an off-by-default (one branch when
 //!   disabled), shard-locked collector of typed request-lifecycle events
 //!   stamped on the virtual clock;
-//! - [`reduce_spans`] / [`BreakdownSummary`] — per-request span reduction
-//!   into a queue / prefill / decode / stall breakdown whose phases sum
-//!   to the end-to-end latency by construction;
+//! - [`blame_spans`] / [`BlameSummary`] — the one per-request reduction:
+//!   causal critical-path attribution. Typed [`WaitCause`]s recorded at
+//!   every scheduler stall decision, reduced per request into
+//!   categories that tile TTFT and e2e exactly, aggregated into
+//!   per-cause sketches;
+//! - [`reduce_spans`] / [`BreakdownSummary`] — the blame tiling's
+//!   four-phase view: a queue / prefill / decode / stall breakdown
+//!   whose phases sum to the end-to-end latency up to f64 summation
+//!   error;
 //! - [`chrome_trace_json`] — Chrome `trace_event` JSON export (device,
-//!   PCIe-link and per-sequence lanes), loadable in `chrome://tracing`
-//!   and Perfetto;
+//!   PCIe-link and per-sequence lanes; a sequence lane paints its blame
+//!   tiles), loadable in `chrome://tracing` and Perfetto;
 //! - [`JsonValue`] — a minimal JSON reader for the tooling side (the
 //!   vendored serde only writes), used by `tools/bench_compare` and the
 //!   export validity tests;
@@ -32,14 +38,12 @@
 //!   the line-format parser that round-trips it;
 //! - [`LifecycleFold`] / [`latency_samples`] — the one definition of
 //!   how lifecycle events become TTFT / ITL / e2e / rejection samples,
-//!   shared by every consumer below;
+//!   shared by every consumer below; its per-lane state also owns the
+//!   arrival rule and the gap cursor the blame tiling and the Chrome
+//!   lanes run on;
 //! - [`SloMonitor`] — windowed TTFT/ITL SLO attainment and burn-rate
 //!   gauges folded from latency observations, the admission window
 //!   series and the ledger;
-//! - [`blame_spans`] / [`BlameSummary`] — causal critical-path
-//!   attribution: typed [`WaitCause`]s recorded at every scheduler
-//!   stall decision, reduced per request into categories that tile
-//!   TTFT and e2e exactly, aggregated into per-cause sketches;
 //! - [`ExemplarReservoir`] — bounded top-k capture of the worst
 //!   requests' full event timelines (by TTFT / max-ITL / e2e), exported
 //!   as highlighted Chrome-trace lanes even when global tracing is off;

@@ -1,5 +1,6 @@
 //! The lifecycle fold: the one place request-lifecycle events become
-//! latency samples.
+//! latency samples, and the per-lane state ([`LaneFold`]) every per-lane
+//! fold runs on.
 //!
 //! Every consumer that reads latencies off the event stream — the live
 //! [`crate::MetricsHub`], [`crate::SloMonitor::observe`], the drift
@@ -35,10 +36,14 @@ pub enum LatencySample {
     Rejected,
 }
 
-/// One lane's lifecycle state: its arrival and its latest token.
+/// One lane's lifecycle state: its arrival, its gap cursor and its
+/// latest token. Every per-lane fold runs on it — the latency samples
+/// below, [`crate::blame_spans`] and the Chrome export's sequence lanes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LaneFold {
     arrival_s: f64,
+    /// Where the next gap starts: the arrival, then the latest event.
+    cursor_s: f64,
     last_token_s: Option<f64>,
 }
 
@@ -52,8 +57,24 @@ impl LaneFold {
         };
         LaneFold {
             arrival_s,
+            cursor_s: arrival_s,
             last_token_s: None,
         }
+    }
+
+    /// The lane's arrival, fixed by its first record.
+    pub(crate) fn arrival_s(&self) -> f64 {
+        self.arrival_s
+    }
+
+    /// Closes the gap ending at an event at `t_s`, returning its
+    /// `(start, end)`, and advances the cursor to `end`. Per-lane streams
+    /// are time-monotone; an event behind the cursor (float noise) closes
+    /// an empty gap. The gaps tile `[arrival, latest event]`.
+    pub(crate) fn gap(&mut self, t_s: f64) -> (f64, f64) {
+        let start_s = self.cursor_s;
+        self.cursor_s = start_s.max(t_s);
+        (start_s, self.cursor_s)
     }
 
     /// Folds one of the lane's events, returning the latency it

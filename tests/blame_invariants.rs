@@ -10,6 +10,10 @@
 //! gap in the trace was attributed to nobody (or to two owners), and the
 //! percentile tables `trace_explain` prints would silently lie.
 //!
+//! The Chrome export paints the same tiling: each finished lane's gap
+//! segments sum to its blame end-to-end total, which is what lets
+//! `trace_explain` rebuild per-cause seconds from a `TRACE_*.json`.
+//!
 //! The exemplar reservoir rides the same stream, so it is held to the
 //! same replay discipline here: two runs produce identical exemplar
 //! sets, the top-k bound holds, and collection survives a disabled or
@@ -21,9 +25,10 @@ use pit::serve::decode::{
     simulate_decode_trace, simulate_decode_trace_observed, simulate_decode_trace_traced,
     DecodePolicy, DecodeServeConfig, DecodeServeConfigBuilder, KvSparsityPolicy, PreemptPolicy,
 };
-use pit::trace::{blame_spans, BlameBreakdown, TraceSink};
+use pit::trace::{blame_spans, chrome_trace_json, BlameBreakdown, JsonValue, TraceSink};
 use pit::workloads::{ArrivalTrace, DatasetSpec, DecodeSpec, DecodeTrace, SharedPrefixSpec};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Tiles must close to well under a virtual-clock tick; 1e-9 s leaves
 /// room only for benign f64 summation error.
@@ -160,6 +165,38 @@ fn assert_tiles(lane: u64, b: &BlameBreakdown) {
     );
 }
 
+/// Sums each sequence lane's gap-segment durations (seconds) in a Chrome
+/// export: complete events on pid 1 whose tid a `seq <lane>` thread name
+/// labels. The device and link lanes carry no such name.
+fn chrome_lane_totals(json: &str) -> BTreeMap<u64, f64> {
+    let v = JsonValue::parse(json).expect("export parses as JSON");
+    let events = v.as_array().expect("top level is an array");
+    let num = |e: &JsonValue, k: &str| e.get(k).and_then(JsonValue::as_f64);
+    let mut lane_of_tid = BTreeMap::new();
+    for e in events {
+        let label = e
+            .get("args")
+            .and_then(|a| a.get("name"))
+            .and_then(JsonValue::as_str);
+        if let Some(lane) = label.and_then(|l| l.strip_prefix("seq ")) {
+            let tid = num(e, "tid").expect("metadata has a tid") as u64;
+            lane_of_tid.insert(tid, lane.parse::<u64>().expect("numeric lane"));
+        }
+    }
+    let mut totals = BTreeMap::new();
+    for e in events {
+        if e.get("ph").and_then(JsonValue::as_str) != Some("X") || num(e, "pid") != Some(1.0) {
+            continue;
+        }
+        let tid = num(e, "tid").expect("event has a tid") as u64;
+        if let Some(&lane) = lane_of_tid.get(&tid) {
+            let dur_us = num(e, "dur").expect("X has dur");
+            *totals.entry(lane).or_insert(0.0) += dur_us / 1e6;
+        }
+    }
+    totals
+}
+
 proptest! {
     // Each case runs a full (small) simulation; keep the budget modest.
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -191,6 +228,19 @@ proptest! {
             );
             assert_tiles(lane, b);
             finished += 1;
+        }
+
+        // The Chrome lanes paint the same tiling: each finished lane's
+        // gap segments sum to its blame e2e total. Durations print as
+        // shortest round-trip µs, so only summation error separates them.
+        let painted = chrome_lane_totals(&chrome_trace_json(&sink.snapshot()));
+        for (&lane, b) in &spans {
+            let seg_s = painted.get(&lane).copied().unwrap_or(0.0);
+            prop_assert!(
+                (seg_s - b.e2e_total_s()).abs() < TILING_EPS,
+                "{:?}: lane {} segments sum to {} s, blame e2e is {} s",
+                scenario, lane, seg_s, b.e2e_total_s()
+            );
         }
 
         // The report's aggregate saw the same population and mass.

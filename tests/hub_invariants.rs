@@ -18,9 +18,7 @@ use pit::serve::decode::{
     KvSparsityPolicy, PreemptPolicy,
 };
 use pit::serve::DecodeReport;
-use pit::serve::{
-    serve_trace_arrivals_observed, AdmissionMode, BatchPolicy, Percentiles, ServeConfig,
-};
+use pit::serve::{serve_trace_arrivals, AdmissionMode, BatchPolicy, Percentiles, ServeConfig};
 use pit::trace::{
     parse_exposition, Exposition, HubConfig, HubSeries, HubSeriesWindow, JsonValue,
     LatencySketches, MetricKind, MetricsHub, ScrapeServer, SloMonitor, SloTarget, TraceEvent,
@@ -254,7 +252,7 @@ fn threaded_runtime_publishes_consistent_hub_totals() {
     // High rate so the replay finishes quickly in CI.
     let trace = ArrivalTrace::poisson(&DatasetSpec::mnli(), 48, 2000.0, 29);
     let hub = Arc::new(MetricsHub::with_defaults());
-    let report = serve_trace_arrivals_observed(&cfg, &trace, Some(&hub));
+    let report = serve_trace_arrivals(&cfg, &trace, Some(&hub));
     assert_eq!(report.requests, trace.len());
 
     assert_scrape_is_report_then_live("threaded", &hub, &report.exposition());
@@ -305,7 +303,7 @@ fn threaded_runtime_snapshots_every_batch_without_deadlock() {
                     window_s: 1e-4,
                     ..HubConfig::default()
                 });
-                let report = serve_trace_arrivals_observed(&cfg, &trace, Some(&hub));
+                let report = serve_trace_arrivals(&cfg, &trace, Some(&hub));
                 let _ = tx.send((report, hub));
             });
             let (report, hub) = rx
