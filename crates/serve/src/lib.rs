@@ -17,12 +17,12 @@
 //! - [`scheduler`] — [`BatchPolicy`]: padding-free token-budget packing
 //!   vs. padded-to-longest vs. TurboTransformers-style bucketing, plus the
 //!   [`FormedBatch`] accounting both the metrics and the executor consume.
-//! - [`runtime`] — the threaded closed-loop runtime ([`serve_trace`]) and
-//!   the open-loop replays that admit requests at their `ArrivalTrace`
-//!   timestamps: threaded ([`serve_trace_arrivals`]) and deterministic on
-//!   a virtual clock ([`simulate_trace_arrivals`]; all-zero timestamps
-//!   give the closed drain of a queued trace); workers drive
-//!   `pit_models::engine` per batch and share one `JitCache`.
+//! - [`runtime`] — two entry points, one clock each, that admit requests
+//!   at their `ArrivalTrace` timestamps: threaded on the wall clock
+//!   ([`serve_trace_arrivals`]: submitter, scheduler and worker threads)
+//!   and deterministic on a virtual clock ([`simulate_trace_arrivals`]).
+//!   All-zero timestamps replay a queued trace through either; workers
+//!   drive `pit_models::engine` per batch and share one `JitCache`.
 //! - [`decode`] — decode-phase continuous batching over `pit_kv`'s paged
 //!   KV cache: requests prefill once then rejoin the batch every
 //!   iteration, scheduled under a token budget *and* a KV-page budget,
@@ -101,7 +101,6 @@ pub use decode::{
 pub use metrics::{CacheStats, DecodeMetrics, DecodeReport, Metrics, Percentiles, ServingReport};
 pub use queue::BoundedQueue;
 pub use runtime::{
-    batch_step_sample, serve_trace, serve_trace_arrivals, simulate_trace_arrivals, AdmissionMode,
-    ServeConfig,
+    batch_step_sample, serve_trace_arrivals, simulate_trace_arrivals, AdmissionMode, ServeConfig,
 };
 pub use scheduler::{BatchPolicy, FormedBatch};

@@ -5,9 +5,10 @@
 //! run duration) come from the real threaded runtime — queueing, batching
 //! windows and worker contention are genuinely measured. *GPU seconds*
 //! come from the analytic cost model — each formed batch's modelled
-//! execution time — so throughput (`real tokens / modelled GPU seconds`)
-//! reflects the device the cost model simulates rather than the host CPU
-//! running the simulation.
+//! execution time, summed once, by the device-time ledger — so
+//! throughput (`real tokens / modelled GPU seconds`) reflects the device
+//! the cost model simulates rather than the host CPU running the
+//! simulation.
 
 use crate::scheduler::FormedBatch;
 use pit_trace::{
@@ -15,7 +16,7 @@ use pit_trace::{
     Utilization,
 };
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// p50/p95/p99 of a latency sample (seconds).
@@ -116,7 +117,6 @@ pub struct Metrics {
     real_tokens: AtomicUsize,
     padded_tokens: AtomicUsize,
     batches: AtomicUsize,
-    gpu_nanos: AtomicU64,
     rejected: AtomicUsize,
     ledger: Mutex<DeviceLedger>,
 }
@@ -127,15 +127,14 @@ impl Metrics {
         Self::default()
     }
 
-    /// Records one executed batch and its modelled GPU time.
-    pub fn record_batch(&self, batch: &FormedBatch, gpu_s: f64) {
+    /// Records one executed batch's token counts (its modelled GPU time
+    /// goes to the ledger through [`Metrics::charge_step`]).
+    pub fn record_batch(&self, batch: &FormedBatch) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.real_tokens
             .fetch_add(batch.real_tokens, Ordering::Relaxed);
         self.padded_tokens
             .fetch_add(batch.padded_tokens, Ordering::Relaxed);
-        self.gpu_nanos
-            .fetch_add((gpu_s * 1e9) as u64, Ordering::Relaxed);
     }
 
     /// Records one request's end-to-end latency (seconds).
@@ -187,12 +186,11 @@ impl Metrics {
             batches: self.batches.load(Ordering::Relaxed),
             real_tokens: self.real_tokens.load(Ordering::Relaxed),
             padded_tokens: self.padded_tokens.load(Ordering::Relaxed),
-            gpu_time_s: self.gpu_nanos.load(Ordering::Relaxed) as f64 / 1e9,
+            gpu_time_s: ledger.busy_s(),
             wall_time_s,
             latency: Percentiles::from_sketch(&latencies),
             queue_high_water,
             rejected: self.rejected.load(Ordering::Relaxed),
-            windows: None,
             cache,
             blame: None,
             utilization: ledger.utilization(),
@@ -214,7 +212,8 @@ pub struct ServingReport {
     pub real_tokens: usize,
     /// Tokens the modelled GPU processed (≥ real).
     pub padded_tokens: usize,
-    /// Modelled GPU busy time (seconds) across all batches.
+    /// Modelled GPU busy time (seconds) across all batches: the
+    /// ledger's busy clock.
     pub gpu_time_s: f64,
     /// Wall-clock duration of the run (seconds).
     pub wall_time_s: f64,
@@ -226,9 +225,6 @@ pub struct ServingReport {
     /// Requests turned away at admission (always 0 under blocking
     /// backpressure; counts drops under reject-when-full admission).
     pub rejected: usize,
-    /// Per-window admitted/rejected/queue-depth series for open-loop
-    /// replays (`None` unless `ServeConfig::arrival_window_s` was set).
-    pub windows: Option<Vec<pit_trace::WindowStat>>,
     /// Shared JIT-cache counters for the run.
     pub cache: CacheStats,
     /// Causal blame digest: per-cause shares of queue latency (`None`
@@ -393,22 +389,6 @@ impl fmt::Display for ServingReport {
         )?;
         if let Some(b) = &self.blame {
             write!(f, "\n  {b}")?;
-        }
-        if let Some(w) = &self.windows {
-            let width = if w.len() >= 2 {
-                w[1].start_s - w[0].start_s
-            } else {
-                0.0
-            };
-            let busiest = w.iter().max_by_key(|s| s.admitted);
-            write!(
-                f,
-                "\n  arrival windows: {} x {:.1}s; busiest admitted {} (peak queue depth {})",
-                w.len(),
-                width,
-                busiest.map_or(0, |s| s.admitted),
-                busiest.map_or(0, |s| s.peak_queue_depth),
-            )?;
         }
         Ok(())
     }
@@ -1387,8 +1367,13 @@ mod tests {
         let m = Metrics::new();
         let policy = BatchPolicy::PaddedToLongest { max_batch: 4 };
         let b = policy.form(vec![10, 20]);
-        m.record_batch(&b, 0.5);
-        m.record_batch(&b, 0.25);
+        for gpu_s in [0.5, 0.25] {
+            m.record_batch(&b);
+            m.charge_step(&StepSample {
+                gpu_s,
+                ..Default::default()
+            });
+        }
         m.record_latency(0.010);
         m.record_latency(0.020);
         let cache = CacheStats {
@@ -1401,7 +1386,8 @@ mod tests {
         assert_eq!(r.batches, 2);
         assert_eq!(r.real_tokens, 60);
         assert_eq!(r.padded_tokens, 80);
-        assert!((r.gpu_time_s - 0.75).abs() < 1e-6);
+        assert_eq!(r.gpu_time_s, r.ledger.busy_s());
+        assert!((r.gpu_time_s - 0.75).abs() < 1e-12);
         assert!((r.tokens_per_s() - 80.0).abs() < 1e-3);
         assert!((r.padding_waste() - 0.25).abs() < 1e-9);
         assert!((r.cache.hit_rate() - 0.75).abs() < 1e-9);

@@ -2,9 +2,10 @@
 //!
 //! Built on `Mutex` + two `Condvar`s (std-only, matching the workspace's
 //! no-external-deps policy). Producers block in [`BoundedQueue::push`] when
-//! the queue is full — that *is* the admission control: a closed-loop
-//! client that cannot enqueue cannot generate more load, so the server
-//! degrades to bounded queueing delay instead of unbounded memory growth.
+//! the queue is full — that *is* the admission control: a submitter that
+//! cannot enqueue admits nothing more, so the server degrades to bounded
+//! queueing delay instead of unbounded memory growth
+//! ([`BoundedQueue::try_push`] sheds the request instead).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};

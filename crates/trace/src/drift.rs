@@ -1,13 +1,12 @@
-//! Online drift detection: windowed sketches against a committed
+//! Online drift detection: streaming sketches against a committed
 //! baseline.
 //!
-//! The [`crate::LatencySketch`]'s bucket-wise merge is associative, so
-//! per-window sketches compose into any coarser window — a
-//! [`DriftDetector`] exploits exactly that: it folds observations into
-//! fixed windows, merges them on demand, and compares the merged
-//! quantiles (and the blame cause mix) against a [`DriftBaseline`]
-//! captured from a known-good run. A shift beyond tolerance raises a
-//! typed [`DriftAlarm`], surfaced through `SloReport` and the
+//! A [`DriftDetector`] folds every observation into one TTFT/ITL/e2e
+//! [`LatencySketches`] triple and compares its quantiles (and the blame
+//! cause mix) against a [`DriftBaseline`] captured from a known-good run.
+//! The sketches are bounded by the latency dynamic range, so the
+//! detector's state never grows with the run. A shift beyond tolerance
+//! raises a typed [`DriftAlarm`], surfaced through `SloReport` and the
 //! `trace_explain` CLI — the existing sketches become an online
 //! regression alarm without any new per-request state.
 
@@ -127,61 +126,43 @@ impl DriftBaseline {
     }
 }
 
-/// Folds observations into time windows and compares the merged
-/// distributions (and cause mix) against the baseline.
+/// Folds observations into one sketch triple and compares it (and the
+/// cause mix) against the baseline.
 #[derive(Debug)]
 pub struct DriftDetector {
     baseline: DriftBaseline,
     policy: DriftPolicy,
-    window_s: f64,
-    windows: Vec<LatencySketches>,
+    observed: LatencySketches,
     observed_mix: Vec<(String, f64)>,
 }
 
 impl DriftDetector {
-    /// A detector comparing against `baseline` with `policy`
-    /// thresholds, windowing observations every `window_s` seconds.
-    pub fn new(baseline: DriftBaseline, policy: DriftPolicy, window_s: f64) -> Self {
-        assert!(
-            window_s.is_finite() && window_s > 0.0,
-            "window must be positive"
-        );
+    /// A detector comparing against `baseline` with `policy` thresholds.
+    pub fn new(baseline: DriftBaseline, policy: DriftPolicy) -> Self {
         DriftDetector {
             baseline,
             policy,
-            window_s,
-            windows: Vec::new(),
+            observed: LatencySketches::default(),
             observed_mix: Vec::new(),
         }
     }
 
-    /// Folds a sorted record stream into the detector's windows (each
-    /// sample by the time it completed, as the live feed does) and
-    /// refreshes the observed cause mix from the stream's blame
+    /// Folds a sorted record stream's latency samples into the detector
+    /// and refreshes the observed cause mix from the stream's blame
     /// reduction.
     pub fn observe(&mut self, records: &[TraceRecord]) {
-        for (t_s, sample) in latency_samples(records) {
-            self.record(t_s, sample);
+        for (_, sample) in latency_samples(records) {
+            self.record(sample);
         }
         let mut agg = BlameAggregate::new();
         agg.fold_spans(&blame_spans(records));
         self.observe_blame(&agg.summary());
     }
 
-    /// Records one latency sample into the window at `t_s` — the
-    /// incremental feed the live [`crate::MetricsHub`] uses. Merge
-    /// associativity makes `alarms()` indifferent to which window a
-    /// sample lands in.
-    pub fn record(&mut self, t_s: f64, sample: LatencySample) {
-        self.window_at(t_s).record(sample);
-    }
-
-    fn window_at(&mut self, t_s: f64) -> &mut LatencySketches {
-        let idx = (t_s.max(0.0) / self.window_s) as usize;
-        if self.windows.len() <= idx {
-            self.windows.resize_with(idx + 1, LatencySketches::default);
-        }
-        &mut self.windows[idx]
+    /// Records one latency sample — the incremental feed the live
+    /// [`crate::MetricsHub`] uses.
+    pub fn record(&mut self, sample: LatencySample) {
+        self.observed.record(sample);
     }
 
     /// Sets the observed cause mix from an already-computed blame
@@ -194,28 +175,12 @@ impl DriftDetector {
             .collect();
     }
 
-    /// Windows populated so far.
-    pub fn window_count(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// Merges every window's sketches — bucket-wise, so the result is
-    /// identical to having folded all samples into a single triple
-    /// (merge associativity).
-    pub fn merged(&self) -> LatencySketches {
-        let mut all = LatencySketches::default();
-        for w in &self.windows {
-            all.merge(w);
-        }
-        all
-    }
-
-    /// Compares merged observations against the baseline; returned
-    /// alarms are in a deterministic order (metrics × quantiles, then
-    /// causes by name).
+    /// Compares the observations against the baseline; returned alarms
+    /// are in a deterministic order (metrics × quantiles, then causes by
+    /// name).
     pub fn alarms(&self) -> Vec<DriftAlarm> {
         let mut alarms = Vec::new();
-        let obs = self.merged();
+        let obs = &self.observed;
         let base = &self.baseline.latency;
         for (name, base, obs) in [
             ("ttft", &base.ttft, &obs.ttft),
@@ -302,16 +267,15 @@ mod tests {
     #[test]
     fn no_alarms_when_observation_matches_baseline() {
         let base = DriftBaseline::from_records(&run(30, 0.2, 0.05));
-        let mut det = DriftDetector::new(base, DriftPolicy::default(), 10.0);
+        let mut det = DriftDetector::new(base, DriftPolicy::default());
         det.observe(&run(30, 0.2, 0.05));
-        assert!(det.window_count() >= 3, "completions span several windows");
         assert_eq!(det.alarms(), Vec::new());
     }
 
     #[test]
     fn quantile_shift_beyond_tolerance_alarms() {
         let base = DriftBaseline::from_records(&run(30, 0.2, 0.05));
-        let mut det = DriftDetector::new(base, DriftPolicy::default(), 10.0);
+        let mut det = DriftDetector::new(base, DriftPolicy::default());
         det.observe(&run(30, 0.4, 0.05));
         let alarms = det.alarms();
         assert!(!alarms.is_empty());
@@ -326,28 +290,9 @@ mod tests {
     }
 
     #[test]
-    fn merged_windows_equal_single_sketch() {
-        let records = run(25, 0.3, 0.02);
-        let mut det = DriftDetector::new(
-            DriftBaseline::from_records(&records),
-            DriftPolicy::default(),
-            5.0,
-        );
-        det.observe(&records);
-        assert!(det.window_count() >= 4);
-        let merged = det.merged();
-        let whole = LatencySketches::from_records(&records);
-        assert_eq!(merged.ttft.count(), whole.ttft.count());
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(merged.ttft.quantile(q), whole.ttft.quantile(q));
-            assert_eq!(merged.e2e.quantile(q), whole.e2e.quantile(q));
-        }
-    }
-
-    #[test]
     fn cause_mix_shift_alarms() {
         let base = DriftBaseline::from_records(&run(30, 0.2, 0.05));
-        let mut det = DriftDetector::new(base, DriftPolicy::default(), 10.0);
+        let mut det = DriftDetector::new(base, DriftPolicy::default());
         // Same latencies, but now most of each request's time is a
         // typed kv-pool wait instead of prefill.
         let sink = TraceSink::enabled();

@@ -4,12 +4,12 @@
 //! PRs 7–9 made every signal (sketches, ledger, blame, SLO burn, drift
 //! alarms) available *post hoc*, in end-of-run reports. The
 //! [`MetricsHub`] moves the same machinery online: publishers (the
-//! decode loop, the threaded runtime's workers and submitter) stream
-//! lifecycle events, report snapshots and gauges into the hub, and
-//! readers (the [`crate::http`] scrape server, tests, `pit_top`) take
-//! consistent snapshots at any moment — an [`Exposition`] for
-//! `GET /metrics`, an [`SloReport`] with live drift alarms for
-//! `GET /slo`, and a bounded ring of per-window digests for
+//! decode loop, the threaded runtime's submitter, scheduler and
+//! workers) stream lifecycle events, report snapshots and gauges into
+//! the hub, and readers (the [`crate::http`] scrape server, tests,
+//! `pit_top`) take consistent snapshots at any moment — an
+//! [`Exposition`] for `GET /metrics`, an [`SloReport`] with live drift
+//! alarms for `GET /slo`, and a bounded ring of per-window digests for
 //! `GET /series`.
 //!
 //! Three design rules keep observation from perturbing the run:
@@ -237,9 +237,7 @@ impl MetricsHub {
         );
         assert!(cfg.ring_capacity > 0, "ring capacity must be positive");
         let slo = cfg.slo.map(|t| SloMonitor::new(t, cfg.window_s));
-        let drift = cfg
-            .drift
-            .map(|(b, p)| DriftDetector::new(b, p, cfg.window_s));
+        let drift = cfg.drift.map(|(b, p)| DriftDetector::new(b, p));
         MetricsHub {
             window_s: cfg.window_s,
             ring_capacity: cfg.ring_capacity,
@@ -383,7 +381,7 @@ impl MetricsHub {
             m.record(t_s, sample);
         }
         if let Some(d) = st.drift.as_mut() {
-            d.record(t_s, sample);
+            d.record(sample);
         }
         self.window_mut(st, t_s).latency.record(sample);
     }

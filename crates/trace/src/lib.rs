@@ -9,8 +9,8 @@
 //!   sketch with a bounded relative error, replacing unbounded latency
 //!   sample vectors so million-request replays run in O(1) metric memory;
 //! - [`TraceSink`] / [`TraceEvent`] — an off-by-default (one branch when
-//!   disabled), shard-locked collector of typed request-lifecycle events
-//!   stamped on the virtual clock;
+//!   disabled) collector of typed request-lifecycle events stamped on the
+//!   virtual clock;
 //! - [`blame_spans`] / [`BlameSummary`] — the one per-request reduction:
 //!   causal critical-path attribution. Typed [`WaitCause`]s recorded at
 //!   every scheduler stall decision, reduced per request into
@@ -26,8 +26,6 @@
 //! - [`JsonValue`] — a minimal JSON reader for the tooling side (the
 //!   vendored serde only writes), used by `tools/bench_compare` and the
 //!   export validity tests;
-//! - [`WindowSeries`] — per-window admitted/rejected/queue-depth series
-//!   for open-loop bursty replays;
 //! - [`DeviceLedger`] — the device-time ledger: every modelled
 //!   GPU-second attributed into a fixed category taxonomy with *exact*
 //!   (integer-picosecond) conservation — categories tile busy time,
@@ -42,14 +40,14 @@
 //!   arrival rule and the gap cursor the blame tiling and the Chrome
 //!   lanes run on;
 //! - [`SloMonitor`] — windowed TTFT/ITL SLO attainment and burn-rate
-//!   gauges folded from latency observations, the admission window
-//!   series and the ledger;
+//!   gauges folded from latency observations (rejections count as TTFT
+//!   misses), joined with the ledger;
 //! - [`ExemplarReservoir`] — bounded top-k capture of the worst
 //!   requests' full event timelines (by TTFT / max-ITL / e2e), exported
 //!   as highlighted Chrome-trace lanes even when global tracing is off;
-//! - [`DriftDetector`] — windowed sketches compared against a committed
-//!   [`DriftBaseline`], raising typed [`DriftAlarm`]s on quantile or
-//!   cause-mix shifts;
+//! - [`DriftDetector`] — one TTFT/ITL/e2e sketch triple compared
+//!   against a committed [`DriftBaseline`], raising typed [`DriftAlarm`]s
+//!   on quantile or cause-mix shifts;
 //! - [`MetricsHub`] — the *live* observability plane: a thread-safe
 //!   registry that serves the publisher's own report exposition
 //!   (snapshotted at most once per window) plus a block of live-only
@@ -74,7 +72,6 @@ mod lifecycle;
 mod sink;
 mod sketch;
 mod slo;
-mod windows;
 
 pub use blame::{
     blame_spans, BlameAggregate, BlameBreakdown, BlameCategory, BlameCauseStat, BlameSummary,
@@ -95,4 +92,3 @@ pub use sink::{
 };
 pub use sketch::{LatencySketch, DEFAULT_SKETCH_ERROR};
 pub use slo::{SloMonitor, SloReport, SloTarget, SloWindowReport};
-pub use windows::{WindowSeries, WindowStat};

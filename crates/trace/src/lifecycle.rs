@@ -160,13 +160,6 @@ impl LatencySketches {
         }
     }
 
-    /// Folds another triple in, sketch by sketch.
-    pub fn merge(&mut self, other: &LatencySketches) {
-        self.ttft.merge(&other.ttft);
-        self.itl.merge(&other.itl);
-        self.e2e.merge(&other.e2e);
-    }
-
     /// Sketches every sample of a time-ordered record stream.
     pub fn from_records(records: &[TraceRecord]) -> Self {
         let mut out = Self::default();

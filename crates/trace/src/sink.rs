@@ -3,9 +3,9 @@
 //! [`TraceSink`] collects typed [`TraceEvent`]s stamped with virtual-clock
 //! times. It is off by default — a disabled sink's [`TraceSink::record`]
 //! is a single branch, so the decode hot loop pays nothing when nobody is
-//! looking — and sharded when enabled: records land in
-//! `lane % shards` under independent mutexes, with one global atomic
-//! ordinal tying the shards back into a total order at drain time.
+//! looking. An enabled sink appends to one buffer; each record carries an
+//! emission ordinal, so records stamped with the same time keep their
+//! emission order when drained in time order.
 //!
 //! Times are seconds on the emitting runtime's virtual clock. Each
 //! record's `t_s` is the instant the event *took effect* (a transfer's
@@ -15,7 +15,7 @@
 
 use crate::blame::WaitCause;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Lane id of the modelled device's execution track.
 pub const DEVICE_LANE: u64 = u64::MAX;
@@ -134,11 +134,11 @@ impl TraceEvent {
     }
 }
 
-/// One recorded event: which lane, when, what, and a global ordinal that
-/// restores a total order across shards.
+/// One recorded event: which lane, when, what, and an emission ordinal
+/// that orders records stamped with the same time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecord {
-    /// Global emission ordinal (atomic across shards).
+    /// Emission ordinal (0, 1, 2, … in recording order).
     pub ord: u64,
     /// Virtual-clock time the event took effect (seconds).
     pub t_s: f64,
@@ -148,11 +148,11 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-/// Sharded, off-by-default collector of [`TraceRecord`]s.
+/// Off-by-default collector of [`TraceRecord`]s.
 #[derive(Debug)]
 pub struct TraceSink {
-    /// Empty when disabled — `record` then returns after one branch.
-    shards: Vec<Mutex<Vec<TraceRecord>>>,
+    /// `None` when disabled — `record` then returns after one branch.
+    records: Option<Mutex<Vec<TraceRecord>>>,
     next_ord: AtomicU64,
     /// Head-sampling stride: keep sequence lanes with
     /// `lane % sample_every == 0` (1 = keep everything). Deterministic
@@ -165,21 +165,16 @@ impl TraceSink {
     /// A disabled sink: recording is a no-op costing one branch.
     pub fn disabled() -> Self {
         TraceSink {
-            shards: Vec::new(),
+            records: None,
             next_ord: AtomicU64::new(0),
             sample_every: 1,
         }
     }
 
-    /// An enabled sink with a default shard count.
+    /// An enabled sink.
     pub fn enabled() -> Self {
-        Self::with_shards(8)
-    }
-
-    /// An enabled sink with `shards` independently-locked shards.
-    pub fn with_shards(shards: usize) -> Self {
         TraceSink {
-            shards: (0..shards.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
+            records: Some(Mutex::new(Vec::new())),
             next_ord: AtomicU64::new(0),
             sample_every: 1,
         }
@@ -200,23 +195,22 @@ impl TraceSink {
 
     /// Whether records are being kept.
     pub fn is_enabled(&self) -> bool {
-        !self.shards.is_empty()
+        self.records.is_some()
     }
 
     /// Records one event at `t_s` on `lane`. No-op on a disabled sink.
     pub fn record(&self, t_s: f64, lane: u64, event: TraceEvent) {
-        if self.shards.is_empty() {
+        let Some(records) = &self.records else {
             return;
-        }
+        };
         if self.sample_every > 1 && lane < RESERVED_LANES && !lane.is_multiple_of(self.sample_every)
         {
             return;
         }
         let ord = self.next_ord.fetch_add(1, Ordering::Relaxed);
-        let shard = (lane % self.shards.len() as u64) as usize;
-        self.shards[shard]
+        records
             .lock()
-            .expect("trace shard poisoned")
+            .expect("trace sink poisoned")
             .push(TraceRecord {
                 ord,
                 t_s,
@@ -225,12 +219,16 @@ impl TraceSink {
             });
     }
 
+    /// The buffer, locked (`None` when disabled).
+    fn buffer(&self) -> Option<MutexGuard<'_, Vec<TraceRecord>>> {
+        self.records
+            .as_ref()
+            .map(|r| r.lock().expect("trace sink poisoned"))
+    }
+
     /// Records recorded so far.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("trace shard poisoned").len())
-            .sum()
+        self.buffer().map_or(0, |b| b.len())
     }
 
     /// True when nothing has been recorded (or the sink is disabled).
@@ -238,28 +236,27 @@ impl TraceSink {
         self.len() == 0
     }
 
-    /// Copies every record out, merged across shards and sorted by
-    /// `(t_s, ord)`, leaving the sink intact (a run can be exported to
-    /// Chrome *and* reduced to breakdowns from the same sink).
+    /// Copies every record out, sorted by `(t_s, ord)`, leaving the sink
+    /// intact (a run can be exported to Chrome *and* reduced to
+    /// breakdowns from the same sink).
     pub fn snapshot(&self) -> Vec<TraceRecord> {
-        let mut all: Vec<TraceRecord> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            all.extend(shard.lock().expect("trace shard poisoned").iter().cloned());
-        }
-        all.sort_by(|a, b| a.t_s.total_cmp(&b.t_s).then(a.ord.cmp(&b.ord)));
-        all
+        time_ordered(self.buffer().map_or_else(Vec::new, |b| b.clone()))
     }
 
-    /// Moves every record out (merged and sorted as in
-    /// [`TraceSink::snapshot`]), emptying the sink.
+    /// Moves every record out (sorted as in [`TraceSink::snapshot`]),
+    /// emptying the sink.
     pub fn drain(&self) -> Vec<TraceRecord> {
-        let mut all: Vec<TraceRecord> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            all.append(&mut shard.lock().expect("trace shard poisoned"));
-        }
-        all.sort_by(|a, b| a.t_s.total_cmp(&b.t_s).then(a.ord.cmp(&b.ord)));
-        all
+        time_ordered(
+            self.buffer()
+                .map_or_else(Vec::new, |mut b| std::mem::take(&mut *b)),
+        )
     }
+}
+
+/// Sorts records time-major, emission-ordinal minor.
+fn time_ordered(mut records: Vec<TraceRecord>) -> Vec<TraceRecord> {
+    records.sort_by(|a, b| a.t_s.total_cmp(&b.t_s).then(a.ord.cmp(&b.ord)));
+    records
 }
 
 #[cfg(test)]
@@ -276,8 +273,8 @@ mod tests {
     }
 
     #[test]
-    fn records_merge_across_shards_in_time_order() {
-        let sink = TraceSink::with_shards(4);
+    fn records_drain_in_time_order() {
+        let sink = TraceSink::enabled();
         sink.record(2.0, 1, TraceEvent::Finished);
         sink.record(1.0, 2, TraceEvent::FirstToken);
         sink.record(1.0, 3, TraceEvent::Admitted { arrival_s: 0.5 });
@@ -326,19 +323,5 @@ mod tests {
             .collect();
         assert_eq!(seq_lanes, vec![0, 4, 8, 12]);
         assert!(drained.iter().any(|r| r.lane == DEVICE_LANE));
-    }
-
-    #[test]
-    fn shard_choice_is_stable_per_lane() {
-        let sink = TraceSink::with_shards(2);
-        for i in 0..100u64 {
-            sink.record(i as f64, i % 5, TraceEvent::FirstToken);
-        }
-        let drained = sink.drain();
-        assert_eq!(drained.len(), 100);
-        // Total order restored regardless of shard layout.
-        for w in drained.windows(2) {
-            assert!(w[0].t_s <= w[1].t_s);
-        }
     }
 }

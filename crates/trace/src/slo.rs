@@ -1,8 +1,8 @@
 //! Windowed SLO monitor: rolling TTFT/ITL attainment and burn rate.
 //!
-//! Folds per-request latency observations — recorded directly, replayed
-//! from a drained [`TraceRecord`] stream, or joined with the per-window
-//! admission series — into fixed-width windows, and reports per-window
+//! Folds per-request latency observations — recorded directly or
+//! replayed from a drained [`TraceRecord`] stream — into fixed-width
+//! windows, and reports per-window
 //! and whole-run **SLO attainment** (fraction of observations within
 //! target) plus the **burn rate** familiar from SRE error budgets:
 //!
@@ -22,7 +22,6 @@ use crate::drift::DriftAlarm;
 use crate::ledger::DeviceLedger;
 use crate::lifecycle::{latency_samples, LatencySample};
 use crate::sink::TraceRecord;
-use crate::windows::WindowStat;
 
 /// The service-level targets a run is held to.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
@@ -163,16 +162,6 @@ impl SloMonitor {
     pub fn observe(&mut self, records: &[TraceRecord]) {
         for (t_s, sample) in latency_samples(records) {
             self.record(t_s, sample);
-        }
-    }
-
-    /// Joins a per-window admission series: each window's rejections
-    /// become TTFT misses at that window's start time.
-    pub fn fold_windows(&mut self, stats: &[WindowStat]) {
-        for w in stats {
-            for _ in 0..w.rejected {
-                self.record(w.start_s, LatencySample::Rejected);
-            }
         }
     }
 
@@ -320,15 +309,11 @@ mod tests {
     }
 
     #[test]
-    fn window_series_and_ledger_join() {
+    fn rejections_and_ledger_join() {
         let mut m = SloMonitor::new(target(), 10.0);
         m.record(1.0, LatencySample::Ttft(0.1));
-        m.fold_windows(&[WindowStat {
-            start_s: 0.0,
-            admitted: 3,
-            rejected: 2,
-            peak_queue_depth: 4,
-        }]);
+        m.record(2.0, LatencySample::Rejected);
+        m.record(3.0, LatencySample::Rejected);
         let mut ledger = DeviceLedger::new();
         ledger.charge_step(&crate::ledger::StepSample {
             gpu_s: 3.0,

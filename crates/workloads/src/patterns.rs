@@ -14,8 +14,9 @@ use std::collections::HashSet;
 
 /// A request arrival trace for serving experiments: per-request prompt
 /// lengths drawn from a dataset's length distribution, plus Poisson
-/// arrival offsets. Closed-loop load generators use only the lengths;
-/// open-loop replay (a ROADMAP follow-up) uses the timestamps too.
+/// arrival offsets. The serving replays admit each request at its
+/// offset; a copy with all-zero offsets replays the lengths as a queued
+/// trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalTrace {
     /// Prompt length of each request, in arrival order.

@@ -195,7 +195,7 @@ fn main() {
     // typed quantile-shift alarms — surfaced through the SLO report.
     let baseline = DriftBaseline::from_records(&records);
     let hub_baseline = baseline.clone();
-    let mut healthy = DriftDetector::new(baseline.clone(), DriftPolicy::default(), 30.0);
+    let mut healthy = DriftDetector::new(baseline.clone(), DriftPolicy::default());
     healthy.observe(&records);
     slo.drift = healthy.alarms();
     assert!(
@@ -212,16 +212,13 @@ fn main() {
         &trace,
         &throttled_sink,
     );
-    let mut detector = DriftDetector::new(baseline, DriftPolicy::default(), 30.0);
+    let mut detector = DriftDetector::new(baseline, DriftPolicy::default());
     detector.observe(&throttled_sink.drain());
     if let Some(b) = throttled.blame.as_ref() {
         detector.observe_blame(b);
     }
     let alarms = detector.alarms();
-    println!(
-        "\ndrift vs baseline after halving the token budget ({} windows observed):",
-        detector.window_count()
-    );
+    println!("\ndrift vs baseline after halving the token budget:");
     for a in &alarms {
         println!("  {a}");
     }

@@ -1,29 +1,34 @@
-//! Closed-loop serving load test: the same arrival trace served under
-//! padding-free continuous batching (PIT), padded-to-longest batching
-//! (stock frameworks) and TurboTransformers-style length bucketing.
+//! Serving load test: the same request lengths served under padding-free
+//! continuous batching (PIT), padded-to-longest batching (stock
+//! frameworks) and TurboTransformers-style length bucketing.
 //!
-//! Eight closed-loop clients drive the threaded runtime (bounded
-//! admission, one scheduler, two workers sharing a bounded JIT cache);
-//! throughput is measured in real tokens per *modelled* GPU second, so
-//! the comparison reflects the A100 the cost model simulates.
+//! Every request is queued at t = 0 and drained through the threaded
+//! runtime (bounded admission with blocking backpressure, one scheduler,
+//! two workers sharing a bounded JIT cache); throughput is measured in
+//! real tokens per *modelled* GPU second, so the comparison reflects the
+//! A100 the cost model simulates.
 //!
 //! ```bash
 //! cargo run --release --example serving_load
 //! ```
 
-use pit::serve::{serve_trace, BatchPolicy, ServeConfig, ServingReport};
+use pit::serve::{serve_trace_arrivals, BatchPolicy, ServeConfig, ServingReport};
 use pit::workloads::patterns::ArrivalTrace;
 use pit::workloads::DatasetSpec;
 
 fn main() {
     let spec = DatasetSpec::mnli();
     let trace = ArrivalTrace::poisson(&spec, 256, 200.0, 11);
+    let queued = ArrivalTrace {
+        arrival_s: vec![0.0; trace.len()],
+        ..trace
+    };
     println!(
         "trace: {} requests, {} real tokens, lengths {}..{} ({})\n",
-        trace.len(),
-        trace.total_tokens(),
-        trace.lens.iter().min().unwrap(),
-        trace.lens.iter().max().unwrap(),
+        queued.len(),
+        queued.total_tokens(),
+        queued.lens.iter().min().unwrap(),
+        queued.lens.iter().max().unwrap(),
         spec.name,
     );
 
@@ -38,7 +43,7 @@ fn main() {
     let mut reports: Vec<ServingReport> = Vec::new();
     for policy in policies {
         let cfg = ServeConfig::new(policy);
-        let report = serve_trace(&cfg, &trace.lens);
+        let report = serve_trace_arrivals(&cfg, &queued, None);
         println!("{report}\n");
         reports.push(report);
     }

@@ -27,7 +27,7 @@
 //!   padding-free continuous batching (prefill and decode phase), worker
 //!   pool, serving metrics.
 //! - [`trace`] — observability: request-lifecycle trace sink and span
-//!   reduction, streaming percentile sketches, arrival-window series and
+//!   reduction, streaming percentile sketches, live metrics hub and
 //!   Chrome `trace_event` export.
 //!
 //! See `README.md` for a quickstart, the workspace layout and the crate

@@ -246,42 +246,57 @@ fn scrape_until_done(
 
 #[test]
 fn threaded_runtime_publishes_consistent_hub_totals() {
-    let mut cfg = ServeConfig::new(BatchPolicy::PaddingFree { token_budget: 1024 });
-    cfg.model.layers = 2;
-    cfg.admission = AdmissionMode::Block;
-    // High rate so the replay finishes quickly in CI.
-    let trace = ArrivalTrace::poisson(&DatasetSpec::mnli(), 48, 2000.0, 29);
-    let hub = Arc::new(MetricsHub::with_defaults());
-    let report = serve_trace_arrivals(&cfg, &trace, Some(&hub));
-    assert_eq!(report.requests, trace.len());
+    for admission in [AdmissionMode::Block, AdmissionMode::RejectWhenFull] {
+        let mut cfg = ServeConfig::new(BatchPolicy::PaddingFree { token_budget: 1024 });
+        cfg.model.layers = 2;
+        cfg.admission = admission;
+        if admission == AdmissionMode::RejectWhenFull {
+            // A tiny queue under the same rate sheds some arrivals.
+            cfg.queue_capacity = 2;
+        }
+        // High rate so the replay finishes quickly in CI.
+        let trace = ArrivalTrace::poisson(&DatasetSpec::mnli(), 48, 2000.0, 29);
+        let hub = Arc::new(MetricsHub::with_defaults());
+        let report = serve_trace_arrivals(&cfg, &trace, Some(&hub));
+        assert_eq!(report.requests + report.rejected, trace.len());
 
-    assert_scrape_is_report_then_live("threaded", &hub, &report.exposition());
-    let series = hub.series();
-    let total = |f: fn(&HubSeriesWindow) -> u64| series_total(&series, f);
-    assert_eq!(
-        total(|w| w.admitted),
-        trace.len() as u64,
-        "submitter published every admission"
-    );
-    assert_eq!(
-        total(|w| w.finished),
-        report.requests as u64,
-        "workers published every completion"
-    );
-    assert_eq!(
-        total(|w| w.prefill_tokens),
-        report.real_tokens as u64,
-        "Step records carry the report's tokens"
-    );
-    assert_eq!(total(|w| w.rejected), 0);
-    assert_eq!(
-        total(|w| w.steps),
-        report.batches as u64,
-        "one Step record per executed batch"
-    );
-    // Each completion's FirstToken closes one TTFT sample against the
-    // submitter's admission.
-    assert_eq!(total(|w| w.ttft_count), report.requests as u64);
+        let name = format!("threaded {admission:?}");
+        assert_scrape_is_report_then_live(&name, &hub, &report.exposition());
+        assert!(
+            hub.render().contains("\npit_hub_admission_queue_depth 0\n"),
+            "{name}: the finished run's queue-depth gauge drained to 0"
+        );
+        let series = hub.series();
+        let total = |f: fn(&HubSeriesWindow) -> u64| series_total(&series, f);
+        assert_eq!(
+            total(|w| w.admitted),
+            report.requests as u64,
+            "{name}: submitter published every admission"
+        );
+        assert_eq!(
+            total(|w| w.rejected),
+            report.rejected as u64,
+            "{name}: submitter published every rejection"
+        );
+        assert_eq!(
+            total(|w| w.finished),
+            report.requests as u64,
+            "{name}: workers published every completion"
+        );
+        assert_eq!(
+            total(|w| w.prefill_tokens),
+            report.real_tokens as u64,
+            "{name}: Step records carry the report's tokens"
+        );
+        assert_eq!(
+            total(|w| w.steps),
+            report.batches as u64,
+            "{name}: one Step record per executed batch"
+        );
+        // Each completion's FirstToken closes one TTFT sample against the
+        // submitter's admission.
+        assert_eq!(total(|w| w.ttft_count), report.requests as u64);
+    }
 }
 
 #[test]
